@@ -45,133 +45,88 @@
 #            serialization fuzz, offset overflow bounds, compile rewrite
 #            correctness, checkpoint fingerprint gating, cross-layout
 #            differentials for train/serve/ginex/pygplus/marius).
-if [ "$1" = "--layout" ]; then
-  shift
-  OUT="${1:-layout_sweep_output.txt}"
+#
+# Every step runs under a 580 s timeout and logs "[exit=N]" to the output
+# file. The script exits non-zero when any step failed, after writing the
+# mode's done marker and listing the failed steps on stderr.
+FAILED=()
+
+# Starts a mode's output file with a section header.
+begin() {
+  OUT="$1"
   : > "$OUT"
-  {
-    echo "############ feature-layout A/B (bench/layout_sweep + tools/layout_compile + Layout* suites) ############"
-    timeout 580 build/bench/layout_sweep BENCH_layout.json 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tools/layout_compile papers100m hotness layout_plan.bin 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tests/gnndrive_tests --gtest_filter='Layout*' 2>&1
-    echo "[exit=$?]"
-    echo LAYOUT_SMOKE_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--obs" ]; then
-  shift
-  OUT="${1:-obs_smoke_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ telemetry-plane smoke (bench/obs_endpoint + obs suites) ############"
-    timeout 580 build/bench/obs_endpoint BENCH_obs.json 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tests/gnndrive_tests \
-      --gtest_filter='TimeSeries.*:HistogramWindowing.*:Exposition.*:Attribution.*:Slo.*:ObsServer.*:ObsPlaneFixture.*' 2>&1
-    echo "[exit=$?]"
-    echo OBS_SMOKE_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--cache" ]; then
-  shift
-  OUT="${1:-cache_policy_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ cache-policy A/B (bench/cache_policy + cache/LRU suites) ############"
-    timeout 580 build/bench/cache_policy 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tests/gnndrive_tests \
-      --gtest_filter='CacheValidation.*:CachePolicyFixture.*:HotPartition*.*:IndexedLruProperty.*' 2>&1
-    echo "[exit=$?]"
-    echo CACHE_SMOKE_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--ckpt" ]; then
-  shift
-  OUT="${1:-ckpt_recovery_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ crash recovery (bench/ckpt_overhead + Crc32c/Checkpoint/CkptPipeline/CkptSoak) ############"
-    timeout 580 build/bench/ckpt_overhead 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tests/gnndrive_tests \
-      --gtest_filter='Crc32c.*:Checkpoint.*:CkptPipeline.*:CkptSoak.*' 2>&1
-    echo "[exit=$?]"
-    echo CKPT_RECOVERY_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--coalesce" ]; then
-  shift
-  OUT="${1:-coalesce_ab_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ coalescing A/B (bench/coalesce_sweep + Coalesce* suites) ############"
-    timeout 580 build/bench/coalesce_sweep 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tests/gnndrive_tests \
-      --gtest_filter='Coalesce*:FeatureBufferBatchedApis.*' 2>&1
-    echo "[exit=$?]"
-    echo COALESCE_AB_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--serve" ]; then
-  shift
-  OUT="${1:-serve_smoke_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ serving smoke (bench/serve_latency + Serve* suites) ############"
-    timeout 580 build/bench/serve_latency 2>&1
-    echo "[exit=$?]"
-    timeout 580 build/tests/gnndrive_tests \
-      --gtest_filter='Serve*:FaultSoak.ServingUnder*' 2>&1
-    echo "[exit=$?]"
-    echo SERVE_SMOKE_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--trace" ]; then
-  shift
-  TRACE="${1:-trace.json}"
-  OUT="${2:-trace_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ pipeline trace export ($TRACE) ############"
-    timeout 580 build/bench/trace_pipeline "$TRACE" 2>&1
-    echo "[exit=$?]"
-    echo TRACE_EXPORT_DONE
-  } >> "$OUT"
-  exit 0
-fi
-if [ "$1" = "--faults" ]; then
-  shift
-  OUT="${1:-fault_smoke_output.txt}"
-  : > "$OUT"
-  {
-    echo "############ fault-injection smoke (FaultSoak + SsdFaults + watchdog) ############"
-    timeout 580 build/tests/gnndrive_tests \
-      --gtest_filter='FaultSoak.*:SsdFaults.*:RingFixture.Watchdog*:RingFixture.Injected*' 2>&1
-    echo "[exit=$?]"
-    echo FAULT_SMOKE_DONE
-  } >> "$OUT"
-  exit 0
-fi
+  echo "############ $2 ############" >> "$OUT"
+}
+
+# Runs one step, appending its output and exit status to $OUT.
+step() {
+  timeout 580 "$@" >> "$OUT" 2>&1
+  local rc=$?
+  echo "[exit=$rc]" >> "$OUT"
+  [ "$rc" -eq 0 ] || FAILED+=("$* (exit $rc)")
+}
+
+# Runs the test binary on one gtest filter.
+tests() {
+  step build/tests/gnndrive_tests --gtest_filter="$1"
+}
+
+# Writes the done marker and exits non-zero if any step failed.
+finish() {
+  echo "$1" >> "$OUT"
+  for f in "${FAILED[@]}"; do echo "run_benches.sh: step failed: $f" >&2; done
+  exit $(( ${#FAILED[@]} > 0 ))
+}
+
+case "${1:-}" in
+  --layout)
+    begin "${2:-layout_sweep_output.txt}" "feature-layout A/B (bench/layout_sweep + tools/layout_compile + Layout* suites)"
+    step build/bench/layout_sweep BENCH_layout.json
+    step build/tools/layout_compile papers100m hotness layout_plan.bin
+    tests 'Layout*'
+    finish LAYOUT_SMOKE_DONE ;;
+  --obs)
+    begin "${2:-obs_smoke_output.txt}" "telemetry-plane smoke (bench/obs_endpoint + obs suites)"
+    step build/bench/obs_endpoint BENCH_obs.json
+    tests 'TimeSeries.*:HistogramWindowing.*:Exposition.*:Attribution.*:Slo.*:ObsServer.*:ObsPlaneFixture.*'
+    finish OBS_SMOKE_DONE ;;
+  --cache)
+    begin "${2:-cache_policy_output.txt}" "cache-policy A/B (bench/cache_policy + cache/LRU suites)"
+    step build/bench/cache_policy
+    tests 'CacheValidation.*:CachePolicyFixture.*:HotPartition*.*:IndexedLruProperty.*'
+    finish CACHE_SMOKE_DONE ;;
+  --ckpt)
+    begin "${2:-ckpt_recovery_output.txt}" "crash recovery (bench/ckpt_overhead + Crc32c/Checkpoint/CkptPipeline/CkptSoak)"
+    step build/bench/ckpt_overhead
+    tests 'Crc32c.*:Checkpoint.*:CkptPipeline.*:CkptSoak.*'
+    finish CKPT_RECOVERY_DONE ;;
+  --coalesce)
+    begin "${2:-coalesce_ab_output.txt}" "coalescing A/B (bench/coalesce_sweep + Coalesce* suites)"
+    step build/bench/coalesce_sweep
+    tests 'Coalesce*:FeatureBufferBatchedApis.*'
+    finish COALESCE_AB_DONE ;;
+  --serve)
+    begin "${2:-serve_smoke_output.txt}" "serving smoke (bench/serve_latency + Serve* suites)"
+    step build/bench/serve_latency
+    tests 'Serve*:FaultSoak.ServingUnder*'
+    finish SERVE_SMOKE_DONE ;;
+  --trace)
+    TRACE="${2:-trace.json}"
+    begin "${3:-trace_output.txt}" "pipeline trace export ($TRACE)"
+    step build/bench/trace_pipeline "$TRACE"
+    finish TRACE_EXPORT_DONE ;;
+  --faults)
+    begin "${2:-fault_smoke_output.txt}" "fault-injection smoke (FaultSoak + SsdFaults + watchdog)"
+    tests 'FaultSoak.*:SsdFaults.*:RingFixture.Watchdog*:RingFixture.Injected*'
+    finish FAULT_SMOKE_DONE ;;
+esac
+
 OUT="${1:-bench_output.txt}"
 : > "$OUT"
 for b in build/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue
   case "$b" in *.cmake|*CTest*|*.a) continue;; esac
-  {
-    echo
-    echo "############ $b ############"
-    timeout 580 "$b" 2>&1
-    echo "[exit=$?]"
-  } >> "$OUT"
+  printf '\n############ %s ############\n' "$b" >> "$OUT"
+  step "$b"
 done
-echo BENCH_SUITE_DONE >> "$OUT"
+finish BENCH_SUITE_DONE

@@ -1,7 +1,6 @@
 #include "cache/policy.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -24,10 +23,6 @@ constexpr std::uint64_t kPresampleBatchBase = 1ull << 52;
 /// per run_seed but distinct from every epoch shuffle
 /// (splitmix64(run_seed ^ (epoch+1))).
 constexpr std::uint64_t kPresampleShuffleSalt = 0x70726553616d7065ULL;
-
-bool transient_error(std::int32_t res) {
-  return res == -EIO || res == -ETIMEDOUT;
-}
 
 }  // namespace
 
@@ -114,9 +109,7 @@ HotPrefetchStats prefetch_hot_rows(FeatureBuffer& fb,
   const OnDiskLayout& lay = dataset.layout();
   const auto row_bytes = static_cast<std::uint32_t>(lay.feature_row_bytes);
   // Same worst-case covering-row bound the extraction planner enforces.
-  const auto covering = static_cast<std::uint32_t>(
-      round_up(row_bytes, kSectorSize) +
-      (row_bytes % kSectorSize == 0 ? 0 : kSectorSize));
+  const std::uint32_t covering = covering_bytes_for(row_bytes);
   // Packed store (src/layout): a hotness/degree-compiled image places the
   // profiled hot set in one dense physical run, so the extraction-tuned
   // per-segment caps would only chop a single long run into hundreds of

@@ -13,25 +13,25 @@
 
 namespace gnndrive {
 
-namespace {
-
 bool transient_error(std::int32_t res) {
   return res == -EIO || res == -ETIMEDOUT;
 }
 
-std::uint64_t elapsed_ns(TimePoint begin, TimePoint end) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-          .count());
+std::uint32_t covering_bytes_for(std::uint32_t row_bytes,
+                                 std::uint32_t align) {
+  // Rows start sector-aligned exactly when their size is a sector multiple
+  // (the feature region starts on a sector). No wider alignment is
+  // guaranteed, so every other case may straddle one more block.
+  if (align == kSectorSize && row_bytes % kSectorSize == 0) return row_bytes;
+  return static_cast<std::uint32_t>(round_up(row_bytes, align) + align);
 }
 
-}  // namespace
-
 std::uint32_t staging_row_bytes_for(const CoalesceConfig& coalesce,
-                                    std::uint32_t covering_row_bytes) {
+                                    std::uint32_t covering_row_bytes,
+                                    std::uint32_t align) {
   if (!coalesce.enabled) return covering_row_bytes;
   const auto rounded = static_cast<std::uint32_t>(
-      round_up(std::max(coalesce.max_coalesce_bytes, 1u), kSectorSize));
+      round_up(std::max(coalesce.max_coalesce_bytes, 1u), align));
   return std::max(rounded, covering_row_bytes);
 }
 
@@ -55,7 +55,7 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
                           const std::vector<NodeId>& nodes,
                           const OnDiskLayout& lay, std::uint32_t row_bytes,
                           std::uint32_t max_bytes, std::uint32_t max_rows,
-                          std::uint32_t max_gap_bytes) {
+                          std::uint32_t max_gap_bytes, std::uint32_t align) {
   GD_CHECK_MSG(max_rows >= 1, "plan_segments needs max_rows >= 1");
   SegmentPlan plan;
   plan.rows.reserve(load_idx.size());
@@ -76,11 +76,7 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
   std::sort(items.begin(), items.end(),
             [](const Item& a, const Item& b) { return a.off < b.off; });
 
-  // Worst-case covering range of a single row over any sector phase.
-  const std::uint64_t worst_single =
-      round_up(row_bytes, kSectorSize) +
-      (row_bytes % kSectorSize == 0 ? 0 : kSectorSize);
-  GD_CHECK_MSG(worst_single <= max_bytes,
+  GD_CHECK_MSG(covering_bytes_for(row_bytes, align) <= max_bytes,
                "max_coalesce_bytes below one covering row");
 
   SegmentPlan::Segment seg;
@@ -91,8 +87,8 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
     plan.segments.push_back(seg);
   };
   for (const Item& it : items) {
-    const std::uint64_t cover_begin = round_down(it.off, kSectorSize);
-    const std::uint64_t cover_end = round_up(it.off + row_bytes, kSectorSize);
+    const std::uint64_t cover_begin = round_down(it.off, align);
+    const std::uint64_t cover_end = round_up(it.off + row_bytes, align);
     const bool fits =
         seg.num_rows > 0 && seg.num_rows < max_rows &&
         cover_begin <= seg_end + max_gap_bytes &&
@@ -198,9 +194,14 @@ bool extract_load_set(SampledBatch& batch,
   const std::uint32_t max_bytes = env.staging_row_bytes;
   const std::uint32_t max_rows = co.enabled ? co.max_rows_per_read : 1;
   const std::uint32_t max_gap = co.enabled ? co.max_gap_bytes : 0;
-  const SegmentPlan plan =
-      plan_segments(load_idx, batch.nodes, lay, row_bytes, max_bytes,
-                    max_rows, max_gap);
+  GD_CHECK_MSG(!env.device_staging || env.gpu != nullptr,
+               "device staging needs a GPU");
+  const SegmentPlan plan = plan_segments(
+      load_idx, batch.nodes, lay, row_bytes, max_bytes, max_rows, max_gap,
+      env.device_staging ? kPageSize : kSectorSize);
+  // Host staging feeding a device buffer scatters by asynchronous H2D
+  // copies; every other placement copies synchronously on completion.
+  const bool async_copy = env.gpu != nullptr && !env.device_staging;
   const std::size_t n_seg = plan.segments.size();
 
   // Staging rows recycle through this tracker; GPU scatter callbacks touch
@@ -423,7 +424,7 @@ bool extract_load_set(SampledBatch& batch,
     std::uint8_t* const row_base =
         env.staging_base +
         static_cast<std::uint64_t>(row) * env.staging_row_bytes;
-    if (env.gpu != nullptr) {
+    if (async_copy) {
       {
         std::lock_guard lk(tracker.m);
         tracker.rows_left[s] = seg.num_rows;
@@ -451,15 +452,25 @@ bool extract_load_set(SampledBatch& batch,
             });
       }
     } else {
-      // CPU training/serving: the feature buffer lives in host memory; the
-      // scatter is a plain copy per row, then the staging row recycles.
+      // CPU training/serving copies each row from host staging into the
+      // host-resident buffer; GDS copies the whole segment out of the
+      // device bounce row in one kernel. Then the staging row recycles.
+      const auto scatter = [&] {
+        for (std::uint32_t r = seg.first_row;
+             r < seg.first_row + seg.num_rows; ++r) {
+          const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
+          std::memcpy(fb.slot_data(slot), row_base + plan.rows[r].seg_offset,
+                      row_bytes);
+        }
+      };
+      if (env.device_staging) {
+        env.gpu->launch(scatter);
+      } else {
+        scatter();
+      }
       for (std::uint32_t r = seg.first_row;
            r < seg.first_row + seg.num_rows; ++r) {
-        const NodeId node = batch.nodes[load_idx[plan.rows[r].load_pos]];
-        const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-        std::memcpy(fb.slot_data(slot), row_base + plan.rows[r].seg_offset,
-                    row_bytes);
-        fb.mark_valid(node);
+        fb.mark_valid(batch.nodes[load_idx[plan.rows[r].load_pos]]);
       }
       transfers_started += seg.num_rows;
       std::lock_guard lk(tracker.m);
@@ -470,7 +481,7 @@ bool extract_load_set(SampledBatch& batch,
   }
 
   // Always drain transfers — their callbacks touch this stack frame.
-  if (env.gpu != nullptr && transfers_started > 0) {
+  if (async_copy && transfers_started > 0) {
     ScopedTrace st(env.telemetry, TraceCat::kIoWait);
     const TimePoint tw = tracing ? Clock::now() : TimePoint{};
     std::unique_lock lk(tracker.m);

@@ -25,6 +25,12 @@
 // degenerates to one single-row segment per node — the planner and loop are
 // the same code, so the A/B toggle compares pure I/O shapes.
 //
+// GPUDirect-Storage mode runs through the same loop. Its staging rows are
+// device memory (the GDS bounce area, `ExtractEnv::device_staging`), which
+// changes exactly two things: covering ranges align to 4 KiB pages instead
+// of sectors, and a completed segment reaches the feature buffer through
+// an on-device copy instead of per-row H2D transfers.
+//
 // Entry points:
 //   * plan_segments()     — pure planning, property-tested in isolation.
 //   * triage_batch()      — Algorithm 1 pass 1 via one batched lock take.
@@ -77,8 +83,8 @@ struct SegmentPlan {
     std::uint32_t seg_offset = 0;  ///< row's byte offset within its segment
   };
   struct Segment {
-    std::uint64_t base = 0;       ///< sector-aligned disk offset
-    std::uint32_t len = 0;        ///< sector-aligned read length
+    std::uint64_t base = 0;       ///< aligned disk offset
+    std::uint32_t len = 0;        ///< aligned read length
     std::uint32_t first_row = 0;  ///< range [first_row, first_row+num_rows)
     std::uint32_t num_rows = 0;   ///< ... into SegmentPlan::rows
   };
@@ -86,7 +92,16 @@ struct SegmentPlan {
   std::vector<Segment> segments;
 };
 
-/// Plans sector-aligned covering reads for `load_idx` (indices into
+/// Transient storage failures (-EIO, -ETIMEDOUT) are retried; anything
+/// else (alignment bugs, out-of-range) fails the read immediately.
+bool transient_error(std::int32_t res);
+
+/// Worst-case covering read for one feature row at access granularity
+/// `align` (kSectorSize for direct I/O, kPageSize for GPUDirect Storage).
+std::uint32_t covering_bytes_for(std::uint32_t row_bytes,
+                                 std::uint32_t align = kSectorSize);
+
+/// Plans `align`-aligned covering reads for `load_idx` (indices into
 /// `nodes`), sorted by disk offset and greedily merged under the caps.
 /// `max_bytes` must admit at least one covering row; `max_rows >= 1`;
 /// ranges merge when the gap between consecutive covering ranges is at
@@ -101,7 +116,8 @@ SegmentPlan plan_segments(const std::vector<std::uint32_t>& load_idx,
                           const std::vector<NodeId>& nodes,
                           const OnDiskLayout& lay, std::uint32_t row_bytes,
                           std::uint32_t max_bytes, std::uint32_t max_rows,
-                          std::uint32_t max_gap_bytes);
+                          std::uint32_t max_gap_bytes,
+                          std::uint32_t align = kSectorSize);
 
 /// The substrate one extraction runs against. All pointers are borrowed.
 struct ExtractEnv {
@@ -114,6 +130,9 @@ struct ExtractEnv {
   std::uint32_t staging_rows = 0;       ///< number of recycled row slots
   GpuDevice* gpu = nullptr;             ///< null: host memcpy scatter
   Telemetry* telemetry = nullptr;       ///< optional (fault counters, traces)
+  /// Staging rows are device memory (GPUDirect Storage): reads align to
+  /// kPageSize and segments scatter by on-device copy. Requires `gpu`.
+  bool device_staging = false;
 };
 
 /// Fault/retry policy plus log identity for one extraction.
@@ -150,6 +169,16 @@ struct ExtractCounters {
   std::uint64_t io_timeouts = 0;
   std::uint64_t segments = 0;     ///< reads issued (first submissions)
   std::uint64_t rows_loaded = 0;  ///< feature rows delivered by those reads
+
+  ExtractCounters& operator+=(const ExtractCounters& o) {
+    io_errors += o.io_errors;
+    io_retries += o.io_retries;
+    io_recovered += o.io_recovered;
+    io_timeouts += o.io_timeouts;
+    segments += o.segments;
+    rows_loaded += o.rows_loaded;
+    return *this;
+  }
 };
 
 /// Tracing accumulators (nanoseconds), filled only while `tracing` is set.
@@ -190,10 +219,11 @@ bool resolve_wait_list(FeatureBuffer& fb, SampledBatch& batch,
                        Duration timeout);
 
 /// Effective per-staging-row byte size for a configuration: the covering
-/// row when coalescing is off, max_coalesce_bytes (sector-rounded, at least
-/// one covering row) when on.
+/// row when coalescing is off, max_coalesce_bytes (rounded to `align`, at
+/// least one covering row) when on.
 std::uint32_t staging_row_bytes_for(const CoalesceConfig& coalesce,
-                                    std::uint32_t covering_row_bytes);
+                                    std::uint32_t covering_row_bytes,
+                                    std::uint32_t align = kSectorSize);
 
 /// Effective staging row count: coalesced mode needs far fewer in-flight
 /// reads to saturate the device channels than the per-node path, so the

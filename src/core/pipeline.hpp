@@ -92,8 +92,12 @@ struct GnnDriveConfig {
   /// future work): feature reads DMA from SSD straight into device memory,
   /// eliminating the host staging buffer entirely. Constraints modeled as
   /// the paper describes them: 4 KiB access granularity (redundant loading
-  /// of neighbouring rows is inevitable) and a small device-side bounce
-  /// area bounded by the ring depth. GPU training only.
+  /// of neighbouring rows is inevitable) and a device-side bounce area of
+  /// ring_depth covering blocks per extractor, reserved before the feature
+  /// buffer is sized. Reads go through the shared extraction loop
+  /// (core/extract.hpp) with page-aligned segments, so GDS keeps
+  /// coalescing, retry backoff, the watchdog and io.coalesce.* metrics.
+  /// GPU training only.
   bool gds_mode = false;
   /// CPU-training kernel-time floor (FLOP/s), analogous to
   /// GpuConfig::gpu_flops_per_s: models per-batch CPU training time on the
@@ -227,7 +231,6 @@ class GnnDrive final : public TrainSystem {
 
   std::uint32_t num_extractors_ = 0;     ///< after auto-shrink
   std::uint64_t max_batch_nodes_ = 0;    ///< Mb
-  std::uint32_t covering_row_bytes_ = 0; ///< one row's sector-aligned cover
   std::uint32_t staging_row_bytes_ = 0;  ///< per staging slot (>= a segment)
   std::uint32_t staging_rows_ = 0;       ///< staging slots per extractor
   std::uint64_t feature_slots_ = 0;
@@ -241,12 +244,9 @@ class GnnDrive final : public TrainSystem {
   PinnedBytes metadata_pin_;
   PinnedBytes staging_pin_;
   PinnedBytes cpu_buffer_pin_;
-  std::vector<std::uint8_t> staging_;  ///< Ne x Mb covering rows
-
-  // GDS mode: device-side bounce area (Ne x ring_depth covering blocks)
-  // replaces the host staging buffer.
-  std::uint32_t gds_covering_bytes_ = 0;
-  std::vector<std::uint8_t> gds_bounce_;
+  /// Ne x staging_rows_ segment rows: pinned host memory, or the device
+  /// bounce area under GDS (accounted by gds_bounce_alloc_).
+  std::vector<std::uint8_t> staging_;
 
   // Every DeviceAlloc must be declared after gpu_: its destructor frees
   // into the device, so it has to run before the device is torn down.

@@ -133,11 +133,7 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   const Dataset& ds = *ctx_.dataset;
   const auto row_bytes =
       static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
-  covering_row_bytes_ =
-      row_bytes % kSectorSize == 0
-          ? row_bytes
-          : static_cast<std::uint32_t>(round_up(row_bytes, kSectorSize)) +
-                kSectorSize;
+  covering_row_bytes_ = covering_bytes_for(row_bytes);
   // Coalesced extraction sizing, mirroring the training pipeline: staging
   // rows widen to hold a merged segment, the per-worker pool shrinks.
   staging_row_bytes_ =

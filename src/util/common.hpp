@@ -29,6 +29,11 @@ inline double to_seconds(Duration d) {
 inline double to_ms(Duration d) {
   return std::chrono::duration<double, std::milli>(d).count();
 }
+inline std::uint64_t elapsed_ns(TimePoint begin, TimePoint end) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
+          .count());
+}
 inline Duration from_us(double us) {
   return std::chrono::duration_cast<Duration>(
       std::chrono::duration<double, std::micro>(us));

@@ -1,12 +1,16 @@
 // Coalesced extraction fast path (core/extract.hpp): planner properties,
 // differential byte-identity between coalesce=on and the per-node baseline
 // (training and serving paths), batched feature-buffer APIs, and per-segment
-// failure granularity under injected faults.
+// failure granularity under injected faults. The stand-alone extraction
+// suites run against both staging placements: host memory (direct I/O) and
+// the GPUDirect-Storage device bounce area (page-aligned reads).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/extract.hpp"
@@ -15,14 +19,6 @@
 
 namespace gnndrive {
 namespace {
-
-// Covering read length for one row at the worst sector phase.
-std::uint32_t covering_bytes(std::uint32_t row_bytes) {
-  return row_bytes % kSectorSize == 0
-             ? row_bytes
-             : static_cast<std::uint32_t>(round_up(row_bytes, kSectorSize)) +
-                   kSectorSize;
-}
 
 OnDiskLayout fake_layout(std::uint32_t row_bytes, std::uint64_t num_nodes) {
   OnDiskLayout lay;
@@ -39,7 +35,8 @@ void check_plan_invariants(const SegmentPlan& plan,
                            const std::vector<std::uint32_t>& load_idx,
                            const std::vector<NodeId>& nodes,
                            const OnDiskLayout& lay, std::uint32_t row_bytes,
-                           std::uint32_t max_bytes, std::uint32_t max_rows) {
+                           std::uint32_t max_bytes, std::uint32_t max_rows,
+                           std::uint32_t align) {
   ASSERT_EQ(plan.rows.size(), load_idx.size());
   // Every load position appears exactly once across all segments.
   std::vector<std::uint32_t> seen(load_idx.size(), 0);
@@ -47,8 +44,8 @@ void check_plan_invariants(const SegmentPlan& plan,
   for (const auto& seg : plan.segments) {
     ASSERT_GE(seg.num_rows, 1u);
     ASSERT_LE(seg.num_rows, max_rows);
-    ASSERT_EQ(seg.base % kSectorSize, 0u);
-    ASSERT_EQ(seg.len % kSectorSize, 0u);
+    ASSERT_EQ(seg.base % align, 0u);
+    ASSERT_EQ(seg.len % align, 0u);
     ASSERT_LE(seg.len, max_bytes);
     ASSERT_EQ(seg.first_row, covered);
     covered += seg.num_rows;
@@ -76,25 +73,28 @@ void check_plan_invariants(const SegmentPlan& plan,
 
 TEST(CoalescePlanner, RandomLayoutsSatisfyInvariants) {
   std::mt19937 rng(20260805);
-  for (const std::uint32_t dim : {16u, 33u, 96u, 128u, 200u}) {
-    const std::uint32_t row_bytes = dim * 4;
-    const OnDiskLayout lay = fake_layout(row_bytes, 100000);
-    for (int trial = 0; trial < 20; ++trial) {
-      CoalesceConfig co;
-      co.max_coalesce_bytes = 1u << (11 + rng() % 5);  // 2K..32K
-      co.max_rows_per_read = 1 + rng() % 48;
-      co.max_gap_bytes = (rng() % 4) * 2048;
-      const std::uint32_t max_bytes =
-          staging_row_bytes_for(co, covering_bytes(row_bytes));
-      std::vector<NodeId> nodes(1 + rng() % 400);
-      for (auto& v : nodes) v = rng() % 100000;
-      std::vector<std::uint32_t> load_idx(nodes.size());
-      for (std::uint32_t i = 0; i < load_idx.size(); ++i) load_idx[i] = i;
-      const SegmentPlan plan =
-          plan_segments(load_idx, nodes, lay, row_bytes, max_bytes,
-                        co.max_rows_per_read, co.max_gap_bytes);
-      check_plan_invariants(plan, load_idx, nodes, lay, row_bytes, max_bytes,
-                            co.max_rows_per_read);
+  // Sector alignment for direct I/O, page alignment for GPUDirect Storage.
+  for (const std::uint32_t align : {kSectorSize, kPageSize}) {
+    for (const std::uint32_t dim : {16u, 33u, 96u, 128u, 200u, 1024u}) {
+      const std::uint32_t row_bytes = dim * 4;
+      const OnDiskLayout lay = fake_layout(row_bytes, 100000);
+      for (int trial = 0; trial < 20; ++trial) {
+        CoalesceConfig co;
+        co.max_coalesce_bytes = 1u << (11 + rng() % 5);  // 2K..32K
+        co.max_rows_per_read = 1 + rng() % 48;
+        co.max_gap_bytes = (rng() % 4) * 2048;
+        const std::uint32_t max_bytes = staging_row_bytes_for(
+            co, covering_bytes_for(row_bytes, align), align);
+        std::vector<NodeId> nodes(1 + rng() % 400);
+        for (auto& v : nodes) v = rng() % 100000;
+        std::vector<std::uint32_t> load_idx(nodes.size());
+        for (std::uint32_t i = 0; i < load_idx.size(); ++i) load_idx[i] = i;
+        const SegmentPlan plan =
+            plan_segments(load_idx, nodes, lay, row_bytes, max_bytes,
+                          co.max_rows_per_read, co.max_gap_bytes, align);
+        check_plan_invariants(plan, load_idx, nodes, lay, row_bytes,
+                              max_bytes, co.max_rows_per_read, align);
+      }
     }
   }
 }
@@ -105,7 +105,7 @@ TEST(CoalescePlanner, SingleRowCapDegeneratesToPerNodeReads) {
   std::vector<NodeId> nodes = {10, 11, 12, 13, 999, 1000};
   std::vector<std::uint32_t> load_idx = {0, 1, 2, 3, 4, 5};
   const SegmentPlan plan = plan_segments(load_idx, nodes, lay, row_bytes,
-                                         covering_bytes(row_bytes), 1, 0);
+                                         covering_bytes_for(row_bytes), 1, 0);
   ASSERT_EQ(plan.segments.size(), nodes.size());
   for (const auto& seg : plan.segments) EXPECT_EQ(seg.num_rows, 1u);
 }
@@ -163,6 +163,16 @@ TEST(CoalescePlanner, DuplicateOffsetsShareASegment) {
 
 // -- Differential extraction harness ----------------------------------------
 
+// Where the staging rows live: host memory (direct-I/O reads, memcpy
+// scatter) or the GPUDirect-Storage device bounce area (page-aligned reads,
+// on-device copy).
+enum class Staging { kHost, kDevice };
+constexpr Staging kStagings[] = {Staging::kHost, Staging::kDevice};
+
+const char* staging_name(Staging staging) {
+  return staging == Staging::kHost ? "host staging" : "device staging (GDS)";
+}
+
 // Stand-alone Algorithm-1 run over an explicit node list: triage ->
 // extract_load_set -> resolve_wait_list -> copy out -> release. Mirrors how
 // GnnDrive::extract_batch and ServeEngine::extract_batch drive the shared
@@ -174,7 +184,7 @@ struct GatherResult {
 };
 
 GatherResult gather(Dataset& ds, const CoalesceConfig& co,
-                    const std::vector<NodeId>& nodes,
+                    const std::vector<NodeId>& nodes, Staging staging,
                     const SsdFaultConfig* faults = nullptr,
                     std::uint32_t max_retries = 3,
                     double request_timeout_ms = 250.0,
@@ -191,11 +201,15 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
   FeatureBuffer fb(FeatureBufferConfig{nodes.size() + 64, dim},
                    ds.spec().num_nodes, telemetry);
 
-  const std::uint32_t staging_row_bytes =
-      staging_row_bytes_for(co, covering_bytes(row_bytes));
+  const bool device = staging == Staging::kDevice;
+  const std::uint32_t align = device ? kPageSize : kSectorSize;
+  const std::uint32_t staging_row_bytes = staging_row_bytes_for(
+      co, covering_bytes_for(row_bytes, align), align);
   const std::uint32_t staging_rows = staging_rows_for(co, 64);
-  std::vector<std::uint8_t> staging(
+  std::vector<std::uint8_t> staging_area(
       static_cast<std::size_t>(staging_rows) * staging_row_bytes);
+  std::unique_ptr<GpuDevice> gpu;
+  if (device) gpu = std::make_unique<GpuDevice>(GpuConfig{});
 
   IoRingConfig rc;
   rc.queue_depth = 64;
@@ -216,10 +230,20 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
   env.layout = &ds.layout();
   env.row_bytes = row_bytes;
   env.ring = &ring;
-  env.staging_base = staging.data();
+  env.staging_base = staging_area.data();
   env.staging_row_bytes = staging_row_bytes;
   env.staging_rows = staging_rows;
   env.telemetry = telemetry;
+  env.gpu = gpu.get();
+  env.device_staging = device;
+
+  // Staging rows held by the loop, tracked even when the caller passes no
+  // gauge so the leak check below always runs.
+  ExtractMetricHooks tracked = hooks;
+  Gauge staging_in_use;
+  if (tracked.staging_in_use == nullptr) {
+    tracked.staging_in_use = &staging_in_use;
+  }
 
   ExtractPolicy policy;
   policy.coalesce = co;
@@ -228,8 +252,8 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
   policy.poll = from_us(5000.0);
 
   GatherResult out;
-  out.ok = extract_load_set(batch, load_idx, env, policy, hooks, out.counters,
-                            nullptr);
+  out.ok = extract_load_set(batch, load_idx, env, policy, tracked,
+                            out.counters, nullptr);
   if (out.ok) {
     out.ok = resolve_wait_list(fb, batch, wait_idx, from_us(10e6));
   }
@@ -258,6 +282,7 @@ GatherResult gather(Dataset& ds, const CoalesceConfig& co,
   }
   EXPECT_EQ(fb.standby_size(), fb.num_slots());
   EXPECT_EQ(ring.in_flight(), 0u);
+  EXPECT_EQ(tracked.staging_in_use->value(), 0) << "staging rows leaked";
   return out;
 }
 
@@ -290,25 +315,28 @@ TEST(CoalesceDifferential, ByteIdenticalAcrossDimsAndLayouts) {
       on.max_gap_bytes = (rng() % 3) * 4096;
       CoalesceConfig off;
       off.enabled = false;
-
-      const GatherResult a = gather(ds, on, nodes);
-      const GatherResult b = gather(ds, off, nodes);
-      ASSERT_TRUE(a.ok);
-      ASSERT_TRUE(b.ok);
       const std::vector<float> truth = ground_truth(ds, nodes);
-      ASSERT_EQ(a.data.size(), truth.size());
-      EXPECT_EQ(std::memcmp(a.data.data(), b.data.data(),
-                            a.data.size() * sizeof(float)),
-                0)
-          << "dim " << dim;
-      EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
-                            a.data.size() * sizeof(float)),
-                0)
-          << "dim " << dim;
-      // The baseline reads once per node; coalescing must not read more.
-      EXPECT_EQ(b.counters.segments, nodes.size());
-      EXPECT_LE(a.counters.segments, b.counters.segments);
-      EXPECT_EQ(a.counters.rows_loaded, nodes.size());
+
+      for (const Staging staging : kStagings) {
+        SCOPED_TRACE(staging_name(staging));
+        const GatherResult a = gather(ds, on, nodes, staging);
+        const GatherResult b = gather(ds, off, nodes, staging);
+        ASSERT_TRUE(a.ok);
+        ASSERT_TRUE(b.ok);
+        ASSERT_EQ(a.data.size(), truth.size());
+        EXPECT_EQ(std::memcmp(a.data.data(), b.data.data(),
+                              a.data.size() * sizeof(float)),
+                  0)
+            << "dim " << dim;
+        EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
+                              a.data.size() * sizeof(float)),
+                  0)
+            << "dim " << dim;
+        // The baseline reads once per node; coalescing must not read more.
+        EXPECT_EQ(b.counters.segments, nodes.size());
+        EXPECT_LE(a.counters.segments, b.counters.segments);
+        EXPECT_EQ(a.counters.rows_loaded, nodes.size());
+      }
     }
   }
 }
@@ -329,41 +357,46 @@ TEST(CoalesceDifferential, DuplicateHeavyBatch) {
   CoalesceConfig on;
   CoalesceConfig off;
   off.enabled = false;
-  const GatherResult a = gather(ds, on, nodes);
-  const GatherResult b = gather(ds, off, nodes);
-  ASSERT_TRUE(a.ok);
-  ASSERT_TRUE(b.ok);
   const std::vector<float> truth = ground_truth(ds, nodes);
-  EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
-                        truth.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(b.data.data(), truth.data(),
-                        truth.size() * sizeof(float)),
-            0);
+  for (const Staging staging : kStagings) {
+    SCOPED_TRACE(staging_name(staging));
+    const GatherResult a = gather(ds, on, nodes, staging);
+    const GatherResult b = gather(ds, off, nodes, staging);
+    ASSERT_TRUE(a.ok);
+    ASSERT_TRUE(b.ok);
+    EXPECT_EQ(std::memcmp(a.data.data(), truth.data(),
+                          truth.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(b.data.data(), truth.data(),
+                          truth.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(CoalesceDifferential, MetricsHooksCountSegmentsAndRows) {
   Dataset ds = Dataset::build(toy_spec(128));
-  Telemetry telemetry;
-  MetricsRegistry* reg = telemetry.metrics();
-  ASSERT_NE(reg, nullptr);
-  ExtractMetricHooks hooks;
-  hooks.segments = &reg->counter("io.coalesce.segments");
-  hooks.rows = &reg->counter("io.coalesce.rows");
-  hooks.rows_per_read = &reg->histogram("io.coalesce.rows_per_read");
-
   std::vector<NodeId> nodes;
   for (NodeId v = 500; v < 700; ++v) nodes.push_back(v);
   CoalesceConfig on;
-  const GatherResult r =
-      gather(ds, on, nodes, nullptr, 3, 250.0, &telemetry, hooks);
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(hooks.segments->value(), r.counters.segments);
-  EXPECT_EQ(hooks.rows->value(), r.counters.rows_loaded);
-  EXPECT_EQ(hooks.rows_per_read->count(), r.counters.segments);
-  EXPECT_EQ(r.counters.rows_loaded, nodes.size());
-  // 200 consecutive 512 B rows under the default caps: 32-row segments.
-  EXPECT_LE(r.counters.segments, div_ceil(nodes.size(), 32) + 1);
+  for (const Staging staging : kStagings) {
+    SCOPED_TRACE(staging_name(staging));
+    Telemetry telemetry;
+    MetricsRegistry* reg = telemetry.metrics();
+    ASSERT_NE(reg, nullptr);
+    ExtractMetricHooks hooks;
+    hooks.segments = &reg->counter("io.coalesce.segments");
+    hooks.rows = &reg->counter("io.coalesce.rows");
+    hooks.rows_per_read = &reg->histogram("io.coalesce.rows_per_read");
+    const GatherResult r =
+        gather(ds, on, nodes, staging, nullptr, 3, 250.0, &telemetry, hooks);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(hooks.segments->value(), r.counters.segments);
+    EXPECT_EQ(hooks.rows->value(), r.counters.rows_loaded);
+    EXPECT_EQ(hooks.rows_per_read->count(), r.counters.segments);
+    EXPECT_EQ(r.counters.rows_loaded, nodes.size());
+    // 200 consecutive 512 B rows under the default caps: 32-row segments.
+    EXPECT_LE(r.counters.segments, div_ceil(nodes.size(), 32) + 1);
+  }
 }
 
 // -- Batched feature-buffer APIs --------------------------------------------
@@ -442,18 +475,22 @@ TEST(CoalesceFaults, BadRangeFailsOnlyItsSegmentNodes) {
       {lay.feature_offset_of(doomed.front()),
        lay.feature_offset_of(doomed.back()) + lay.feature_row_bytes});
 
-  for (const bool enabled : {true, false}) {
-    CoalesceConfig co;
-    co.enabled = enabled;
-    SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
-    const GatherResult r = gather(ds, co, all, &faults, 2);
-    EXPECT_FALSE(r.ok);
-    EXPECT_GT(r.counters.io_errors, 0u);
-    // Failure granularity is the segment: nodes sharing no bytes with the
-    // bad range load fine, the doomed ones are marked failed (and reset at
-    // release, which gather() verified).
-    const GatherResult healthy_only = gather(ds, co, healthy, &faults);
-    EXPECT_TRUE(healthy_only.ok);
+  for (const Staging staging : kStagings) {
+    for (const bool enabled : {true, false}) {
+      CoalesceConfig co;
+      co.enabled = enabled;
+      SCOPED_TRACE(std::string(staging_name(staging)) +
+                   (enabled ? ", coalesce=on" : ", coalesce=off"));
+      const GatherResult r = gather(ds, co, all, staging, &faults, 2);
+      EXPECT_FALSE(r.ok);
+      EXPECT_GT(r.counters.io_errors, 0u);
+      // Failure granularity is the segment: nodes sharing no bytes with the
+      // bad range load fine, the doomed ones are marked failed (and reset at
+      // release, which gather() verified).
+      const GatherResult healthy_only =
+          gather(ds, co, healthy, staging, &faults);
+      EXPECT_TRUE(healthy_only.ok);
+    }
   }
 }
 
@@ -467,23 +504,26 @@ TEST(CoalesceFaults, TransientEioRecoversThroughSegmentRetries) {
   for (NodeId v = 0; v < 300; ++v) nodes.push_back(v * 3);
   const std::vector<float> truth = ground_truth(ds, nodes);
 
-  for (const bool enabled : {true, false}) {
-    CoalesceConfig co;
-    co.enabled = enabled;
-    SCOPED_TRACE(enabled ? "coalesce=on" : "coalesce=off");
-    const GatherResult r = gather(ds, co, nodes, &faults, 8);
-    ASSERT_TRUE(r.ok);
-    EXPECT_GT(r.counters.io_errors, 0u);
-    EXPECT_GT(r.counters.io_retries, 0u);
-    // io_recovered counts segments that eventually succeeded; io_errors
-    // counts every failed attempt, so a doubly-unlucky segment recovers
-    // once but errors twice.
-    EXPECT_GT(r.counters.io_recovered, 0u);
-    EXPECT_LE(r.counters.io_recovered, r.counters.io_errors);
-    // Retried segments keep their staging row and redeliver exact bytes.
-    EXPECT_EQ(std::memcmp(r.data.data(), truth.data(),
-                          truth.size() * sizeof(float)),
-              0);
+  for (const Staging staging : kStagings) {
+    for (const bool enabled : {true, false}) {
+      CoalesceConfig co;
+      co.enabled = enabled;
+      SCOPED_TRACE(std::string(staging_name(staging)) +
+                   (enabled ? ", coalesce=on" : ", coalesce=off"));
+      const GatherResult r = gather(ds, co, nodes, staging, &faults, 8);
+      ASSERT_TRUE(r.ok);
+      EXPECT_GT(r.counters.io_errors, 0u);
+      EXPECT_GT(r.counters.io_retries, 0u);
+      // io_recovered counts segments that eventually succeeded; io_errors
+      // counts every failed attempt, so a doubly-unlucky segment recovers
+      // once but errors twice.
+      EXPECT_GT(r.counters.io_recovered, 0u);
+      EXPECT_LE(r.counters.io_recovered, r.counters.io_errors);
+      // Retried segments keep their staging row and redeliver exact bytes.
+      EXPECT_EQ(std::memcmp(r.data.data(), truth.data(),
+                            truth.size() * sizeof(float)),
+                0);
+    }
   }
 }
 
@@ -496,9 +536,12 @@ TEST(CoalesceFaults, StuckSegmentsCancelledByWatchdog) {
   std::vector<NodeId> nodes;
   for (NodeId v = 0; v < 32; ++v) nodes.push_back(v);
   CoalesceConfig co;
-  const GatherResult r = gather(ds, co, nodes, &faults, 1, 20.0);
-  EXPECT_FALSE(r.ok);
-  EXPECT_GT(r.counters.io_timeouts, 0u);
+  for (const Staging staging : kStagings) {
+    SCOPED_TRACE(staging_name(staging));
+    const GatherResult r = gather(ds, co, nodes, staging, &faults, 1, 20.0);
+    EXPECT_FALSE(r.ok);
+    EXPECT_GT(r.counters.io_timeouts, 0u);
+  }
 }
 
 // -- IoRing request-length validation ----------------------------------------

@@ -97,6 +97,71 @@ TEST_F(GdsFixture, TrainsToSameAccuracyAsStandardMode) {
   EXPECT_GT(gds_acc, 0.5);
 }
 
+TEST_F(GdsFixture, BatchLossesMatchStandardMode) {
+  // One sampler and one extractor train batches in order, and GDS delivers
+  // the same feature bytes, so every batch loss matches exactly.
+  const auto run = [&](bool gds) {
+    auto env = make_env();
+    GnnDriveConfig cfg = config();
+    cfg.gds_mode = gds;
+    cfg.num_samplers = 1;
+    cfg.num_extractors = 1;
+    cfg.record_batch_losses = true;
+    GnnDrive system(env.ctx, cfg);
+    return system.run_epoch(0).batch_losses;
+  };
+  const std::vector<double> gds = run(true);
+  ASSERT_FALSE(gds.empty());
+  EXPECT_EQ(gds, run(false));
+}
+
+TEST_F(GdsFixture, CoalescesPageReadsWithinTheBounceBudget) {
+  struct Run {
+    EpochObs obs;
+    std::uint64_t reads = 0;
+    std::uint64_t device_bytes = 0;
+  };
+  const auto run = [&](bool coalesce) {
+    auto env = make_env();
+    GnnDriveConfig cfg = config();
+    cfg.num_samplers = 1;
+    cfg.num_extractors = 1;
+    cfg.coalesce.enabled = coalesce;
+    GnnDrive system(env.ctx, cfg);
+    Run r;
+    r.device_bytes = system.gpu()->allocated();
+    r.obs = system.run_epoch(0).obs;
+    r.reads = env.ssd->stats().reads;
+    return r;
+  };
+  const Run off = run(false);
+  const Run on = run(true);
+  // Per-row baseline: one 4 KiB-aligned read per loaded row.
+  EXPECT_GT(off.obs.fb_loads, 0u);
+  EXPECT_EQ(off.obs.io_segments, off.obs.fb_loads);
+  EXPECT_EQ(off.obs.io_rows, off.obs.fb_loads);
+  // Coalesced: the same rows arrive in fewer reads.
+  EXPECT_EQ(on.obs.io_rows, on.obs.fb_loads);
+  EXPECT_LT(on.obs.io_segments, on.obs.fb_loads);
+  EXPECT_LT(on.reads, off.reads);
+  // Wider segment rows are cut from the same bounce bytes.
+  EXPECT_LE(on.device_bytes, off.device_bytes);
+}
+
+TEST_F(GdsFixture, BounceAreaFitsBesideAScaledFeatureBuffer) {
+  // The bounce area is carved out of device memory before the feature
+  // buffer is sized, so a buffer scaled up to the device limit still
+  // leaves room for it.
+  auto env = make_env();
+  GnnDriveConfig cfg = config();
+  cfg.feature_buffer_scale = 10.0;
+  GnnDrive system(env.ctx, cfg);
+  const EpochStats stats = system.run_epoch(0);
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.result.trained_batches, stats.batches);
+  EXPECT_LE(system.gpu()->allocated(), system.gpu()->capacity());
+}
+
 TEST_F(GdsFixture, CpuTrainingRejected) {
   auto env = make_env();
   GnnDriveConfig cfg = config();
