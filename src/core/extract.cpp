@@ -17,6 +17,14 @@ bool transient_error(std::int32_t res) {
   return res == -EIO || res == -ETIMEDOUT;
 }
 
+ExtractMetricHooks resolve_extract_hooks(Telemetry* telemetry) {
+  if (telemetry == nullptr) return {};
+  MetricsRegistry& reg = *telemetry->metrics();
+  return {&reg.counter("io.coalesce.segments"), &reg.counter("io.coalesce.rows"),
+          &reg.histogram("io.coalesce.rows_per_read"),
+          &reg.gauge("io.staging_in_use")};
+}
+
 std::uint32_t covering_bytes_for(std::uint32_t row_bytes,
                                  std::uint32_t align) {
   // Rows start sector-aligned exactly when their size is a sector multiple

@@ -160,6 +160,9 @@ struct ExtractMetricHooks {
   Gauge* staging_in_use = nullptr;          ///< io.staging_in_use (rows held)
 };
 
+/// The registry's hooks (all null without telemetry).
+ExtractMetricHooks resolve_extract_hooks(Telemetry* telemetry);
+
 /// Per-call accounting, merged by the caller into its own counters
 /// (EpochResult for training, atomics for serving).
 struct ExtractCounters {

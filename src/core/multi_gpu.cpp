@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "util/worker_group.hpp"
+
 namespace gnndrive {
 
 MultiGpuGnnDrive::MultiGpuGnnDrive(const RunContext& ctx,
@@ -31,28 +33,47 @@ EpochStats MultiGpuGnnDrive::run_epoch(std::uint64_t epoch) {
           static_cast<double>(grad_bytes) / config_.interconnect_mb_s +
       config_.allreduce_overhead_us * n;
 
-  std::vector<GnnModel*> models;
-  for (auto& r : replicas_) models.push_back(&r->model());
-
-  const auto on_sync = [models, allreduce_us]() noexcept {
+  // A phase averages the replicas that arrived to sync. One whose epoch
+  // ended (early, or by an exception) leaves the barrier instead, and a
+  // phase of leaves only is no all-reduce (docs/internals.md).
+  std::vector<char> syncing(n, 0);
+  std::vector<GnnModel*> arrived;
+  arrived.reserve(n);
+  const auto on_sync = [&]() noexcept {
     // Runs on the last thread to arrive; everyone else is blocked at the
     // barrier — collective semantics, like NCCL all-reduce.
-    GnnModel::average_grads(models);
+    for (std::uint32_t r = 0; r < n; ++r) {
+      if (syncing[r] != 0) arrived.push_back(&replicas_[r]->model());
+      syncing[r] = 0;
+    }
+    if (arrived.empty()) return;
+    GnnModel::average_grads(arrived);
+    arrived.clear();
     std::this_thread::sleep_for(from_us(allreduce_us));
   };
   std::barrier sync(n, on_sync);
-  for (auto& r : replicas_) {
-    r->set_grad_sync_hook([&sync](GnnModel&) { sync.arrive_and_wait(); });
+  for (std::uint32_t r = 0; r < n; ++r) {
+    replicas_[r]->set_grad_sync_hook([&, r](GnnModel&) {
+      syncing[r] = 1;
+      sync.arrive_and_wait();
+    });
   }
 
   std::vector<EpochStats> stats(n);
-  std::vector<std::thread> threads;
   const TimePoint t0 = Clock::now();
+  WorkerGroup group;
   for (std::uint32_t r = 0; r < n; ++r) {
-    threads.emplace_back(
-        [&, r] { stats[r] = replicas_[r]->run_epoch(epoch); });
+    group.spawn([&, r] {
+      struct Leave {
+        decltype(sync)& b;
+        ~Leave() { b.arrive_and_drop(); }
+      } leave{sync};
+      stats[r] = replicas_[r]->run_epoch(epoch);
+    });
   }
-  for (auto& t : threads) t.join();
+  group.join();
+  for (auto& r : replicas_) r->set_grad_sync_hook(nullptr);
+  group.rethrow();
 
   EpochStats out;
   out.epoch_seconds = to_seconds(Clock::now() - t0);
@@ -63,8 +84,14 @@ EpochStats MultiGpuGnnDrive::run_epoch(std::uint64_t epoch) {
     out.sample_seconds += s.sample_seconds;
     out.extract_seconds += s.extract_seconds;
     out.train_seconds += s.train_seconds;
+    out.interrupted = out.interrupted || s.interrupted;
+    out.result.failed_batches += s.result.failed_batches;
+    out.result.trained_batches += s.result.trained_batches;
+    out.result.io_errors += s.result.io_errors;
+    out.result.io_retries += s.result.io_retries;
+    out.result.io_recovered += s.result.io_recovered;
+    out.result.io_timeouts += s.result.io_timeouts;
   }
-  for (auto& r : replicas_) r->set_grad_sync_hook(nullptr);
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <stdexcept>
 #include <thread>
 
@@ -14,6 +13,7 @@
 #include "sampling/topology.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/worker_group.hpp"
 
 namespace gnndrive {
 
@@ -531,17 +531,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   BoundedQueue<SampledBatch> extract_q(config_.extract_queue_cap);
   BoundedQueue<SampledBatch> train_q(config_.train_queue_cap);
   BoundedQueue<ReleaseItem> release_q(16);
-
-  ConcurrentHistogram h_sample, h_extract, h_train, h_release;
-  ConcurrentHistogram* rh_sample = nullptr;
-  ConcurrentHistogram* rh_extract = nullptr;
-  ConcurrentHistogram* rh_train = nullptr;
-  ConcurrentHistogram* rh_release = nullptr;
   if (reg != nullptr) {
-    rh_sample = &reg->histogram("stage.sample.us");
-    rh_extract = &reg->histogram("stage.extract.us");
-    rh_train = &reg->histogram("stage.train.us");
-    rh_release = &reg->histogram("stage.release.us");
     extract_q.bind_metrics(&reg->gauge("pipeline.extract_q.depth"),
                            &reg->counter("pipeline.extract_q.push_blocked"),
                            &reg->counter("pipeline.extract_q.pop_blocked"));
@@ -552,79 +542,62 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
                            &reg->counter("pipeline.release_q.push_blocked"),
                            &reg->counter("pipeline.release_q.pop_blocked"));
   }
-  const auto stage_done = [](ConcurrentHistogram& local,
-                             ConcurrentHistogram* global, TimePoint b,
-                             TimePoint e) {
-    const double us = to_seconds(e - b) * 1e6;
-    local.add_us(us);
-    if (global != nullptr) global->add_us(us);
-  };
+  // Stage spans follow the tracing switch as it stood when the epoch began,
+  // like the queue-wait and extract sub-phase spans below.
+  const auto span = [tracing](const char* s) { return tracing ? s : nullptr; };
+  StageMeter sample_m(tel, "stage.sample.us", span(kSpanSample));
+  StageMeter extract_m(tel, "stage.extract.us", span(kSpanExtract));
+  StageMeter train_m(tel, "stage.train.us", span(kSpanTrain));
+  StageMeter release_m(tel, "stage.release.us", span(kSpanRelease));
   const FeatureBufferStats fb_before = feature_buffer_->stats();
 
   std::atomic<std::size_t> next_batch{start};
-  std::atomic<std::uint64_t> sample_ns{0};
-  std::atomic<std::uint64_t> extract_ns{0};
   // Epoch fault accounting (EpochResult), merged from per-worker counters.
   std::atomic<std::uint64_t> failed_batches{0};
-  std::atomic<std::uint64_t> trained_batches{0};
   std::mutex io_mu;
   ExtractCounters io_totals;  // extractor counters, merged under io_mu
-  std::mutex err_mu;
-  std::exception_ptr error;
-  const auto capture_error = [&] {
-    std::lock_guard lk(err_mu);
-    if (!error) error = std::current_exception();
-    extract_q.close();
-    train_q.close();
-    release_q.close();
-  };
 
   EpochStats stats;
   stats.batches = n_batches - start;
   const TimePoint t0 = Clock::now();
 
-  std::vector<std::thread> samplers;
+  // A failing stage closes every queue, so the whole pipeline drains.
+  WorkerGroup group([&] {
+    extract_q.close();
+    train_q.close();
+    release_q.close();
+  });
   for (std::uint32_t s = 0; s < config_.num_samplers; ++s) {
-    samplers.emplace_back([&] {
-      try {
-        MmapTopology topo(ds, *ctx_.page_cache);
-        for (;;) {
-          // Graceful drain: a stop request stops claiming new batches; the
-          // already-claimed ones finish through the pipeline normally.
-          if (stop_requested_.load(std::memory_order_relaxed)) break;
-          const std::size_t b = next_batch.fetch_add(1);
-          if (b >= n_batches) break;
-          const TimePoint ts = Clock::now();
-          SampledBatch batch;
-          {
-            BusyScope busy(ctx_.telemetry);
-            batch = sampler_.sample(((epoch + 1) << 24) | b, batches[b], topo,
-                                    &ds.labels());
-          }
-          const TimePoint te = Clock::now();
-          sample_ns.fetch_add(elapsed_ns(ts, te));
-          stage_done(h_sample, rh_sample, ts, te);
-          if (tracing) {
-            tracer->record(kSpanSample, batch.batch_id, epoch32, ts, te);
-          }
-          if (!extract_q.push(std::move(batch))) break;
+    group.spawn([&] {
+      MmapTopology topo(ds, *ctx_.page_cache);
+      for (;;) {
+        // Graceful drain: a stop request stops claiming new batches; the
+        // already-claimed ones finish through the pipeline normally.
+        if (stop_requested_.load(std::memory_order_relaxed)) break;
+        const std::size_t b = next_batch.fetch_add(1);
+        if (b >= n_batches) break;
+        const TimePoint ts = Clock::now();
+        SampledBatch batch;
+        {
+          BusyScope busy(ctx_.telemetry);
+          batch = sampler_.sample(((epoch + 1) << 24) | b, batches[b], topo,
+                                  &ds.labels());
         }
-      } catch (...) {
-        capture_error();
+        sample_m.record(batch.batch_id, epoch32, ts, Clock::now());
+        if (!extract_q.push(std::move(batch))) break;
       }
     });
   }
 
-  std::vector<std::thread> workers;
   if (config_.common.sample_only) {
     // Fig. 2 "-only" mode: sampled batches are discarded.
-    workers.emplace_back([&] {
+    group.spawn([&] {
       while (extract_q.pop().has_value()) {
       }
     });
   } else {
     for (std::uint32_t e = 0; e < num_extractors_; ++e) {
-      workers.emplace_back([&, e] {
+      group.spawn([&, e] {
         ExtractorState state;
         state.backoff_rng =
             Rng(splitmix64(config_.common.run_seed ^ (epoch << 8) ^ e));
@@ -633,198 +606,147 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           io_totals += state.counters;
           state.counters = ExtractCounters{};
         };
-        try {
-          IoRingConfig rc;
-          rc.queue_depth = config_.ring_depth;
-          // Direct I/O bypasses the OS page cache (Sect. 4.2); buffered
-          // mode exists as an ablation (see GnnDriveConfig::direct_io).
-          rc.direct = config_.direct_io;
-          // A request longer than a staging slot would overrun it; the
-          // ring rejects such a planner bug with -EINVAL.
-          rc.max_transfer_bytes = staging_row_bytes_;
-          state.ring = std::make_unique<IoRing>(
-              *ctx_.ssd, rc, config_.direct_io ? nullptr : ctx_.page_cache,
-              ctx_.telemetry);
-          ExtractEnv& env = state.env;
-          env.fb = feature_buffer_.get();
-          env.layout = &ds.layout();
-          env.row_bytes =
-              static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
-          env.ring = state.ring.get();
-          env.staging_base = staging_.data() +
-                             static_cast<std::uint64_t>(e) * staging_rows_ *
-                                 staging_row_bytes_;
-          env.staging_row_bytes = staging_row_bytes_;
-          env.staging_rows = staging_rows_;
-          env.gpu = gpu_.get();
-          env.telemetry = ctx_.telemetry;
-          env.device_staging = config_.gds_mode;
-          if (reg != nullptr) {
-            state.hooks.segments = &reg->counter("io.coalesce.segments");
-            state.hooks.rows = &reg->counter("io.coalesce.rows");
-            state.hooks.rows_per_read =
-                &reg->histogram("io.coalesce.rows_per_read");
-            state.hooks.staging_in_use = &reg->gauge("io.staging_in_use");
-          }
-          for (;;) {
-            const TimePoint qb = tracing ? Clock::now() : TimePoint{};
-            auto batch = extract_q.pop();
-            if (!batch) break;
-            if (tracing) {
-              tracer->record(kSpanQueueWait, batch->batch_id, epoch32, qb,
-                             Clock::now());
-            }
-            const TimePoint ts = Clock::now();
-            const std::uint64_t span_base = tracing ? tracer->now_ns() : 0;
-            const bool ok = extract_batch(*batch, state);
-            const TimePoint te = Clock::now();
-            extract_ns.fetch_add(elapsed_ns(ts, te));
-            stage_done(h_extract, rh_extract, ts, te);
-            if (tracing) {
-              tracer->record(kSpanExtract, batch->batch_id, epoch32, ts, te);
-              // The real loop interleaves submit / SSD wait / transfer wait;
-              // the accumulated durations are emitted back-to-back so the
-              // extract row shows where the time went.
-              const ExtractTrace& tr = state.trace;
-              std::uint64_t cur = span_base;
-              if (tr.submit_ns > 0) {
-                tracer->record_rel(kSpanRingSubmit, batch->batch_id, epoch32,
-                                   cur, tr.submit_ns);
-                cur += tr.submit_ns;
-              }
-              if (tr.ssd_wait_ns > 0) {
-                tracer->record_rel(kSpanSsdWait, batch->batch_id, epoch32, cur,
-                                   tr.ssd_wait_ns);
-                cur += tr.ssd_wait_ns;
-              }
-              if (tr.copy_wait_ns > 0) {
-                tracer->record_rel(kSpanCopyWait, batch->batch_id, epoch32,
-                                   cur, tr.copy_wait_ns);
-              }
-            }
-            if (ok) {
-              if (!train_q.push(std::move(*batch))) break;
-            } else {
-              // Graceful degradation: the batch never trains, but its
-              // references must still drain so slots return to standby.
-              failed_batches.fetch_add(1);
-              if (ctx_.telemetry) {
-                ctx_.telemetry->count(FaultCounter::kFailedBatches);
-              }
-              log_structured(LogLevel::kWarn, "batch_failed",
-                             {kv("batch", batch->batch_id), kv("epoch", epoch),
-                              kv("io_errors", state.counters.io_errors),
-                              kv("io_retries", state.counters.io_retries)});
-              if (auto item = release_q.push_or_reclaim(ReleaseItem{
-                      batch->batch_id, std::move(batch->nodes)})) {
-                // Epoch is aborting and the releaser is gone: release inline
-                // so no extractor starves waiting for slots.
-                feature_buffer_->release(item->nodes);
-              }
-              if (config_.fault.fail_fast) {
-                flush_counters();
-                throw std::runtime_error(
-                    "GNNDrive: batch extraction failed (fail_fast)");
-              }
-            }
-          }
-          flush_counters();
-        } catch (...) {
-          capture_error();
-        }
-      });
-    }
-    // Trainer.
-    workers.emplace_back([&] {
-      std::uint64_t trained_here = 0;
-      std::uint32_t since_ckpt = 0;
-      try {
+        IoRingConfig rc;
+        rc.queue_depth = config_.ring_depth;
+        // Direct I/O bypasses the OS page cache (Sect. 4.2); buffered mode
+        // exists as an ablation (see GnnDriveConfig::direct_io).
+        rc.direct = config_.direct_io;
+        // A request longer than a staging slot would overrun it; the ring
+        // rejects such a planner bug with -EINVAL.
+        rc.max_transfer_bytes = staging_row_bytes_;
+        state.ring = std::make_unique<IoRing>(
+            *ctx_.ssd, rc, config_.direct_io ? nullptr : ctx_.page_cache,
+            ctx_.telemetry);
+        ExtractEnv& env = state.env;
+        env.fb = feature_buffer_.get();
+        env.layout = &ds.layout();
+        env.row_bytes =
+            static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
+        env.ring = state.ring.get();
+        env.staging_base = staging_.data() + static_cast<std::uint64_t>(e) *
+                                                 staging_rows_ *
+                                                 staging_row_bytes_;
+        env.staging_row_bytes = staging_row_bytes_;
+        env.staging_rows = staging_rows_;
+        env.gpu = gpu_.get();
+        env.telemetry = ctx_.telemetry;
+        env.device_staging = config_.gds_mode;
+        state.hooks = resolve_extract_hooks(ctx_.telemetry);
         for (;;) {
           const TimePoint qb = tracing ? Clock::now() : TimePoint{};
-          auto batch = train_q.pop();
+          auto batch = extract_q.pop();
           if (!batch) break;
           if (tracing) {
             tracer->record(kSpanQueueWait, batch->batch_id, epoch32, qb,
                            Clock::now());
           }
           const TimePoint ts = Clock::now();
-          const double loss = train_batch(*batch, stats);
-          const TimePoint te = Clock::now();
-          stats.train_seconds += to_seconds(te - ts);
-          stage_done(h_train, rh_train, ts, te);
+          const std::uint64_t span_base = tracing ? tracer->now_ns() : 0;
+          const bool ok = extract_batch(*batch, state);
+          extract_m.record(batch->batch_id, epoch32, ts, Clock::now());
           if (tracing) {
-            tracer->record(kSpanTrain, batch->batch_id, epoch32, ts, te);
+            // The real loop interleaves submit / SSD wait / transfer wait;
+            // the accumulated durations are emitted back-to-back so the
+            // extract row shows where the time went (record_rel skips a
+            // zero-length phase).
+            const ExtractTrace& tr = state.trace;
+            std::uint64_t cur = span_base;
+            for (const auto& [span, ns] :
+                 {std::pair{kSpanRingSubmit, tr.submit_ns},
+                  std::pair{kSpanSsdWait, tr.ssd_wait_ns},
+                  std::pair{kSpanCopyWait, tr.copy_wait_ns}}) {
+              tracer->record_rel(span, batch->batch_id, epoch32, cur, ns);
+              cur += ns;
+            }
           }
-          trained_batches.fetch_add(1);
-          // Advance the checkpoint cursor: with one sampler and one
-          // extractor batches train strictly in order, so "count trained"
-          // equals "index of the next untrained batch" and resume is
-          // bit-exact; multi-worker runs reorder and resume approximately
-          // (docs/recovery.md).
-          ++trained_here;
-          ++total_trained_;
-          cursor_.store(start + trained_here);
-          train_rng_();
-          if (config_.record_batch_losses) stats.batch_losses.push_back(loss);
+          if (ok) {
+            if (!train_q.push(std::move(*batch))) break;
+            continue;
+          }
+          // Graceful degradation: the batch never trains, but its
+          // references must still drain so slots return to standby.
+          failed_batches.fetch_add(1);
+          if (ctx_.telemetry) {
+            ctx_.telemetry->count(FaultCounter::kFailedBatches);
+          }
+          log_structured(LogLevel::kWarn, "batch_failed",
+                         {kv("batch", batch->batch_id), kv("epoch", epoch),
+                          kv("io_errors", state.counters.io_errors),
+                          kv("io_retries", state.counters.io_retries)});
           if (auto item = release_q.push_or_reclaim(
                   ReleaseItem{batch->batch_id, std::move(batch->nodes)})) {
-            feature_buffer_->release(item->nodes);  // epoch aborting; see above
+            // Epoch is aborting and the releaser is gone: release inline so
+            // no extractor starves waiting for slots.
+            feature_buffer_->release(item->nodes);
           }
-          if (ckpt_on && config_.ckpt.interval_batches > 0 &&
-              ++since_ckpt >= config_.ckpt.interval_batches) {
-            since_ckpt = 0;
-            // A CrashInjected here propagates through capture_error like a
-            // process death: queues close, the epoch aborts, and recovery
-            // must cope with whatever the protocol left on disk.
-            write_checkpoint(epoch, start + trained_here);
+          if (config_.fault.fail_fast) {
+            flush_counters();
+            throw std::runtime_error(
+                "GNNDrive: batch extraction failed (fail_fast)");
           }
         }
-        release_q.close();
-      } catch (...) {
-        capture_error();
+        flush_counters();
+      });
+    }
+    // Trainer.
+    group.spawn([&] {
+      std::uint32_t since_ckpt = 0;
+      for (;;) {
+        const TimePoint qb = tracing ? Clock::now() : TimePoint{};
+        auto batch = train_q.pop();
+        if (!batch) break;
+        if (tracing) {
+          tracer->record(kSpanQueueWait, batch->batch_id, epoch32, qb,
+                         Clock::now());
+        }
+        const TimePoint ts = Clock::now();
+        const double loss = train_batch(*batch, stats);
+        train_m.record(batch->batch_id, epoch32, ts, Clock::now());
+        // Advance the checkpoint cursor: with one sampler and one extractor
+        // batches train strictly in order, so "count trained" equals "index
+        // of the next untrained batch" and resume is bit-exact; multi-worker
+        // runs reorder and resume approximately (docs/recovery.md).
+        ++total_trained_;
+        cursor_.store(start + train_m.count());
+        train_rng_();
+        if (config_.record_batch_losses) stats.batch_losses.push_back(loss);
+        if (auto item = release_q.push_or_reclaim(
+                ReleaseItem{batch->batch_id, std::move(batch->nodes)})) {
+          feature_buffer_->release(item->nodes);  // epoch aborting; see above
+        }
+        if (ckpt_on && config_.ckpt.interval_batches > 0 &&
+            ++since_ckpt >= config_.ckpt.interval_batches) {
+          since_ckpt = 0;
+          // A CrashInjected here propagates through the group like a
+          // process death: queues close, the epoch aborts, and recovery
+          // must cope with whatever the protocol left on disk.
+          write_checkpoint(epoch, start + train_m.count());
+        }
       }
+      release_q.close();
     });
     // Releaser.
-    workers.emplace_back([&] {
-      try {
-        while (auto item = release_q.pop()) {
-          const TimePoint ts = Clock::now();
-          feature_buffer_->release(item->nodes);
-          const TimePoint te = Clock::now();
-          stage_done(h_release, rh_release, ts, te);
-          if (tracing) {
-            tracer->record(kSpanRelease, item->batch_id, epoch32, ts, te);
-          }
-        }
-      } catch (...) {
-        capture_error();
+    group.spawn([&] {
+      while (auto item = release_q.pop()) {
+        const TimePoint ts = Clock::now();
+        feature_buffer_->release(item->nodes);
+        release_m.record(item->batch_id, epoch32, ts, Clock::now());
       }
     });
   }
 
-  // The queue-depth / standby / in-flight counter tracks that used to come
-  // from a dedicated 5 ms monitor thread here now come from the leased
-  // TimeSeriesSampler: every tick re-emits each registry gauge
-  // (pipeline.*.depth, fb.standby, io.inflight, ...) as a trace counter
-  // track while tracing is enabled.
-
-  for (auto& t : samplers) t.join();
+  // Close cascade in spawn order: the samplers exhaust the batch counter,
+  // the extractors drain their queue, then the trainer (which closes
+  // release_q) and the releaser.
+  group.join(config_.num_samplers);
   extract_q.close();
-  // The extractors drain the queue, then the trainer, then the releaser.
   if (!config_.common.sample_only) {
-    for (std::size_t i = 0; i + 2 < workers.size(); ++i) workers[i].join();
+    group.join(config_.num_samplers + num_extractors_);
     train_q.close();
-    workers[workers.size() - 2].join();  // trainer (closes release_q)
-    workers.back().join();               // releaser
-  } else {
-    workers[0].join();
   }
+  group.join();
   if (gpu_ != nullptr) gpu_->sync();
-
-  {
-    std::lock_guard lk(err_mu);
-    if (error) std::rethrow_exception(error);
-  }
+  group.rethrow();
 
   // Epoch boundary: roll the cursor into the next epoch, or — when a stop
   // request drained the epoch early — leave it pointing at the first
@@ -839,26 +761,19 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   }
 
   stats.epoch_seconds = to_seconds(Clock::now() - t0);
-  stats.sample_seconds = static_cast<double>(sample_ns.load()) / 1e9;
-  stats.extract_seconds = static_cast<double>(extract_ns.load()) / 1e9;
+  stats.sample_seconds = sample_m.total_seconds();
+  stats.extract_seconds = extract_m.total_seconds();
+  stats.train_seconds = train_m.total_seconds();
   stats.result.failed_batches = failed_batches.load();
-  stats.result.trained_batches = trained_batches.load();
+  stats.result.trained_batches = train_m.count();
   stats.result.io_errors = io_totals.io_errors;
   stats.result.io_retries = io_totals.io_retries;
   stats.result.io_recovered = io_totals.io_recovered;
   stats.result.io_timeouts = io_totals.io_timeouts;
-  const auto fill = [](StageLatency& s, const ConcurrentHistogram& h) {
-    const LatencyHistogram lh = h.snapshot();
-    s.count = lh.count();
-    s.mean_us = lh.mean_us();
-    s.p50_us = lh.percentile_us(0.50);
-    s.p95_us = lh.percentile_us(0.95);
-    s.p99_us = lh.percentile_us(0.99);
-  };
-  fill(stats.obs.sample, h_sample);
-  fill(stats.obs.extract, h_extract);
-  fill(stats.obs.train, h_train);
-  fill(stats.obs.release, h_release);
+  stats.obs.sample = sample_m.latency();
+  stats.obs.extract = extract_m.latency();
+  stats.obs.train = train_m.latency();
+  stats.obs.release = release_m.latency();
   stats.obs.extract_q_max = extract_q.max_size();
   stats.obs.train_q_max = train_q.max_size();
   stats.obs.release_q_max = release_q.max_size();
@@ -872,7 +787,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   // Mean loss/accuracy over the batches that actually trained (identical to
   // dividing by n_batches on a clean epoch).
   const std::uint64_t denom =
-      config_.common.sample_only ? n_batches : trained_batches.load();
+      config_.common.sample_only ? n_batches : train_m.count();
   if (denom > 0) {
     stats.loss /= static_cast<double>(denom);
     stats.train_accuracy /= static_cast<double>(denom);

@@ -10,6 +10,7 @@
 #include "gnn/model.hpp"
 #include "memsim/host_memory.hpp"
 #include "memsim/page_cache.hpp"
+#include "obs/stage_meter.hpp"
 #include "sampling/sampler.hpp"
 #include "storage/ssd.hpp"
 #include "util/telemetry.hpp"
@@ -37,15 +38,6 @@ struct EpochResult {
   std::uint64_t io_recovered = 0;    ///< reads that succeeded after >=1 retry
   std::uint64_t io_timeouts = 0;     ///< requests cancelled by the watchdog
   bool ok() const { return failed_batches == 0; }
-};
-
-/// Per-stage latency distribution over one epoch (microseconds per batch).
-struct StageLatency {
-  std::uint64_t count = 0;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
 };
 
 /// End-of-epoch observability report (see docs/observability.md). Populated
@@ -80,20 +72,9 @@ struct EpochObs {
 
   /// Multi-line printable summary for benches and examples.
   std::string format() const {
-    std::string out;
+    std::string out = sample.row("sample") + extract.row("extract") +
+                      train.row("train") + release.row("release");
     char line[192];
-    const auto row = [&](const char* name, const StageLatency& s) {
-      std::snprintf(line, sizeof(line),
-                    "  %-8s n=%-5llu p50=%9.1fus p95=%9.1fus p99=%9.1fus "
-                    "mean=%9.1fus\n",
-                    name, static_cast<unsigned long long>(s.count), s.p50_us,
-                    s.p95_us, s.p99_us, s.mean_us);
-      out += line;
-    };
-    row("sample", sample);
-    row("extract", extract);
-    row("train", train);
-    row("release", release);
     std::snprintf(line, sizeof(line),
                   "  queues   extract_q max=%llu train_q max=%llu "
                   "release_q max=%llu\n",

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "obs/attribution.hpp"
 #include "obs/slo.hpp"
@@ -49,14 +48,6 @@ const char* infer_status_name(InferStatus status) {
 std::string ServeReport::format() const {
   std::string out;
   char line[192];
-  const auto row = [&](const char* name, const StageLatency& s) {
-    std::snprintf(line, sizeof(line),
-                  "  %-8s n=%-5llu p50=%9.1fus p95=%9.1fus p99=%9.1fus "
-                  "mean=%9.1fus\n",
-                  name, static_cast<unsigned long long>(s.count), s.p50_us,
-                  s.p95_us, s.p99_us, s.mean_us);
-    out += line;
-  };
   std::snprintf(line, sizeof(line),
                 "  requests submitted=%llu ok=%llu failed=%llu "
                 "rejected=%llu shed=%llu\n",
@@ -71,10 +62,8 @@ std::string ServeReport::format() const {
                 static_cast<unsigned long long>(batches), coalesce_factor,
                 static_cast<unsigned long long>(queue_depth_max));
   out += line;
-  row("latency", latency);
-  row("qwait", queue_wait);
-  row("extract", extract);
-  row("infer", infer);
+  out += latency.row("latency") + queue_wait.row("qwait") +
+         extract.row("extract") + infer.row("infer");
   std::snprintf(line, sizeof(line),
                 "  fbuffer  hit-rate=%.1f%%  io_errors=%llu io_retries=%llu\n",
                 100.0 * fb_hit_rate,
@@ -106,7 +95,12 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
     : ctx_(ctx), config_(config), sub_(substrate),
       sampler_(config_.sampler),
       queue_(config_, ctx.telemetry),
-      coalescer_(queue_, config_.max_batch, config_.max_wait_us) {
+      coalescer_(queue_, config_.max_batch, config_.max_wait_us),
+      workers_([this] { queue_.close(); }),  // fail fast: stop admitting
+      queue_wait_(ctx.telemetry, "serve.queue_wait.us", nullptr),
+      extract_(ctx.telemetry, "serve.extract.us", kSpanServeExtract),
+      infer_(ctx.telemetry, "serve.infer.us", kSpanServeInfer),
+      latency_(ctx.telemetry, "serve.latency.us", nullptr) {
   GD_CHECK_MSG(ctx_.dataset != nullptr && ctx_.ssd != nullptr,
                "ServeEngine needs a dataset and an SSD");
   GD_CHECK_MSG(sub_.feature_buffer != nullptr && sub_.params != nullptr,
@@ -133,11 +127,10 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   const Dataset& ds = *ctx_.dataset;
   const auto row_bytes =
       static_cast<std::uint32_t>(ds.layout().feature_row_bytes);
-  covering_row_bytes_ = covering_bytes_for(row_bytes);
   // Coalesced extraction sizing, mirroring the training pipeline: staging
   // rows widen to hold a merged segment, the per-worker pool shrinks.
   staging_row_bytes_ =
-      staging_row_bytes_for(config_.coalesce, covering_row_bytes_);
+      staging_row_bytes_for(config_.coalesce, covering_bytes_for(row_bytes));
   staging_rows_ = staging_rows_for(config_.coalesce, config_.ring_depth);
   const std::uint64_t staging_bytes =
       static_cast<std::uint64_t>(config_.workers) * staging_rows_ *
@@ -147,17 +140,7 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
   }
   staging_.resize(staging_bytes);
 
-  // Per-worker forward replicas: GnnModel's forward caches are per-instance
-  // state, so the training model cannot be shared across serve workers.
-  {
-    auto initial = std::make_shared<ModelSet>();
-    for (std::uint32_t w = 0; w < config_.workers; ++w) {
-      initial->replicas.push_back(
-          std::make_unique<GnnModel>(sub_.params->config()));
-      initial->replicas.back()->copy_params_from(*sub_.params);
-    }
-    models_ = std::move(initial);
-  }
+  models_ = make_model_set(*sub_.params, 0);
 
   if (ctx_.telemetry != nullptr) {
     MetricsRegistry& reg = *ctx_.telemetry->metrics();
@@ -171,10 +154,6 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
     m_model_gen_ = &reg.gauge("serve.model_generation");
     m_pinned_ = &reg.gauge("serve.pinned");
     m_running_ = &reg.gauge("serve.running");
-    rm_latency_ = &reg.histogram("serve.latency.us");
-    rm_queue_wait_ = &reg.histogram("serve.queue_wait.us");
-    rm_extract_ = &reg.histogram("serve.extract.us");
-    rm_infer_ = &reg.histogram("serve.infer.us");
     rm_batch_size_ = &reg.histogram("serve.batch.size");
 
     // Tell the attributor about the serve side of the topology and register
@@ -211,15 +190,13 @@ ServeEngine::ServeEngine(const RunContext& ctx, ServeConfig config,
                           host.max_batch_nodes()}) {}
 
 ServeEngine::~ServeEngine() {
-  // Join without rethrowing: destructors must not throw. stop() is the
-  // polite path that surfaces worker errors.
-  if (running_) {
-    queue_.close();
-    for (auto& t : workers_) t.join();
-    workers_.clear();
-    running_ = false;
-    if (m_running_ != nullptr) m_running_->sub(1);
-    if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->release();
+  // stop() is the polite path that surfaces worker errors; a destructor
+  // must not throw, so an error still pending here is only logged.
+  try {
+    stop();
+  } catch (const std::exception& e) {
+    GD_LOG_WARN("ServeEngine: worker error at destruction: %s", e.what());
+  } catch (...) {
   }
 }
 
@@ -230,19 +207,11 @@ void ServeEngine::start() {
   // Liveness + telemetry lease: /readyz keys off serve.running, and the
   // time-series sampler runs for as long as the engine accepts requests.
   if (m_running_ != nullptr) m_running_->add(1);
-  if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->retain();
+  if (ctx_.telemetry != nullptr) {
+    sampler_lease_.emplace(ctx_.telemetry->sampler());
+  }
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
-    workers_.emplace_back([this, w] {
-      try {
-        worker_loop(w);
-      } catch (...) {
-        {
-          std::lock_guard lk(err_mu_);
-          if (!error_) error_ = std::current_exception();
-        }
-        queue_.close();  // fail fast: stop admitting, wake siblings
-      }
-    });
+    workers_.spawn([this, w] { worker_loop(w); });
   }
 }
 
@@ -253,17 +222,11 @@ std::future<InferResult> ServeEngine::submit(NodeId node) {
 void ServeEngine::stop() {
   if (!running_) return;
   queue_.close();
-  for (auto& t : workers_) t.join();
-  workers_.clear();
+  workers_.join();
   running_ = false;
   if (m_running_ != nullptr) m_running_->sub(1);
-  if (ctx_.telemetry != nullptr) ctx_.telemetry->sampler()->release();
-  std::lock_guard lk(err_mu_);
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  sampler_lease_.reset();
+  workers_.rethrow();
 }
 
 std::shared_ptr<const ServeEngine::ModelSet> ServeEngine::current_models()
@@ -285,14 +248,21 @@ std::uint64_t ServeEngine::model_generation() const {
   return models_->version;
 }
 
-void ServeEngine::refresh_params() {
+std::shared_ptr<const ServeEngine::ModelSet> ServeEngine::make_model_set(
+    GnnModel& source, std::uint64_t version) const {
+  // Per-worker forward replicas: GnnModel's forward caches are per-instance
+  // state, so the training model cannot be shared across serve workers.
   auto set = std::make_shared<ModelSet>();
-  set->version = model_generation();
+  set->version = version;
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
-    set->replicas.push_back(std::make_unique<GnnModel>(sub_.params->config()));
-    set->replicas.back()->copy_params_from(*sub_.params);
+    set->replicas.push_back(std::make_unique<GnnModel>(source.config()));
+    set->replicas.back()->copy_params_from(source);
   }
-  publish_models(std::move(set));
+  return set;
+}
+
+void ServeEngine::refresh_params() {
+  publish_models(make_model_set(*sub_.params, model_generation()));
 }
 
 std::uint64_t ServeEngine::hot_swap_from(CheckpointManager& manager,
@@ -302,13 +272,7 @@ std::uint64_t ServeEngine::hot_swap_from(CheckpointManager& manager,
   GnnModel staged(sub_.params->config());
   auto loaded = manager.load_latest(staged, /*adam=*/nullptr, expect);
   if (!loaded.has_value()) return 0;
-  auto set = std::make_shared<ModelSet>();
-  set->version = loaded->generation;
-  for (std::uint32_t w = 0; w < config_.workers; ++w) {
-    set->replicas.push_back(std::make_unique<GnnModel>(sub_.params->config()));
-    set->replicas.back()->copy_params_from(staged);
-  }
-  publish_models(std::move(set));
+  publish_models(make_model_set(staged, loaded->generation));
   if (m_hot_swaps_ != nullptr) m_hot_swaps_->add();
   GD_LOG_INFO("ServeEngine: hot-swapped to checkpoint generation %llu",
               static_cast<unsigned long long>(loaded->generation));
@@ -352,8 +316,7 @@ void ServeEngine::finish(PendingRequest& r, InferStatus status,
       if (m_completed_ != nullptr) m_completed_->add();
       // The SLO latency distribution covers served requests only; shed and
       // failed requests are counted, not timed.
-      h_latency_.add_us(res.total_us);
-      if (rm_latency_ != nullptr) rm_latency_->add_us(res.total_us);
+      latency_.record(r.id, 0, r.arrival, done);
       break;
     case InferStatus::kShedDeadline:
       shed_deadline_.fetch_add(1, std::memory_order_relaxed);
@@ -379,13 +342,7 @@ void ServeEngine::worker_loop(std::uint32_t worker_id) {
   ws.ring = std::make_unique<IoRing>(*ctx_.ssd, rc, nullptr, ctx_.telemetry);
   ws.staging_base = staging_.data() + static_cast<std::uint64_t>(worker_id) *
                                           staging_rows_ * staging_row_bytes_;
-  if (ctx_.telemetry != nullptr) {
-    MetricsRegistry& reg = *ctx_.telemetry->metrics();
-    ws.hooks.segments = &reg.counter("io.coalesce.segments");
-    ws.hooks.rows = &reg.counter("io.coalesce.rows");
-    ws.hooks.rows_per_read = &reg.histogram("io.coalesce.rows_per_read");
-    ws.hooks.staging_in_use = &reg.gauge("io.staging_in_use");
-  }
+  ws.hooks = resolve_extract_hooks(ctx_.telemetry);
   for (;;) {
     auto batch = coalescer_.collect();
     if (batch.empty()) return;  // queue closed & drained
@@ -404,9 +361,6 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
   const std::uint64_t batch_id =
       kServeBatchBase |
       (next_batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  SpanTracer* tracer =
-      ctx_.telemetry != nullptr ? ctx_.telemetry->tracer() : nullptr;
-  const bool tracing = tracer != nullptr && tracer->enabled();
   const auto coalesced = static_cast<std::uint32_t>(batch.size());
   if (m_batches_ != nullptr) m_batches_->add();
   if (rm_batch_size_ != nullptr) {
@@ -421,8 +375,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
   active.reserve(batch.size());
   for (PendingRequest& r : batch) {
     r.queue_us = to_seconds(picked - r.arrival) * 1e6;
-    h_queue_wait_.add_us(r.queue_us);
-    if (rm_queue_wait_ != nullptr) rm_queue_wait_->add_us(r.queue_us);
+    queue_wait_.record(batch_id, 0, r.arrival, picked);
     if (r.has_deadline && config_.slo.shed_expired && picked > r.deadline) {
       finish(r, InferStatus::kShedDeadline, -1, coalesced, picked);
     } else {
@@ -449,7 +402,10 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
     BusyScope busy(ctx_.telemetry);
     sb = sampler_.sample(batch_id, seeds, *ws.topo, nullptr);
   }
-  if (tracing) tracer->record(kSpanServeSample, batch_id, 0, ts, Clock::now());
+  if (ctx_.telemetry != nullptr) {
+    ctx_.telemetry->tracer()->record(kSpanServeSample, batch_id, 0, ts,
+                                     Clock::now());
+  }
 
   bool served = false;
   std::vector<std::int32_t> pred(active.size(), -1);
@@ -473,12 +429,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
     acquire_pins(need);
     const TimePoint te = Clock::now();
     const bool extracted = extract_batch(sb, ws);
-    const double extract_us = to_seconds(Clock::now() - te) * 1e6;
-    h_extract_.add_us(extract_us);
-    if (rm_extract_ != nullptr) rm_extract_->add_us(extract_us);
-    if (tracing) {
-      tracer->record(kSpanServeExtract, batch_id, 0, te, Clock::now());
-    }
+    extract_.record(batch_id, 0, te, Clock::now());
     if (extracted) {
       const TimePoint ti = Clock::now();
       const std::uint32_t dim = ctx_.dataset->spec().feature_dim;
@@ -498,12 +449,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
         BusyScope busy(ctx_.telemetry);
         run();
       }
-      const double infer_us = to_seconds(Clock::now() - ti) * 1e6;
-      h_infer_.add_us(infer_us);
-      if (rm_infer_ != nullptr) rm_infer_->add_us(infer_us);
-      if (tracing) {
-        tracer->record(kSpanServeInfer, batch_id, 0, ti, Clock::now());
-      }
+      infer_.record(batch_id, 0, ti, Clock::now());
       for (std::size_t i = 0; i < active.size(); ++i) {
         const float* row = logits.row(seed_row[i]);
         std::uint32_t best = 0;
@@ -603,18 +549,10 @@ ServeReport ServeEngine::report() const {
   r.coalesce_factor = coalescer_.coalesce_factor();
   r.io_errors = io_errors_.load(std::memory_order_relaxed);
   r.io_retries = io_retries_.load(std::memory_order_relaxed);
-  const auto fill = [](StageLatency& s, const ConcurrentHistogram& h) {
-    const LatencyHistogram lh = h.snapshot();
-    s.count = lh.count();
-    s.mean_us = lh.mean_us();
-    s.p50_us = lh.percentile_us(0.50);
-    s.p95_us = lh.percentile_us(0.95);
-    s.p99_us = lh.percentile_us(0.99);
-  };
-  fill(r.queue_wait, h_queue_wait_);
-  fill(r.extract, h_extract_);
-  fill(r.infer, h_infer_);
-  fill(r.latency, h_latency_);
+  r.queue_wait = queue_wait_.latency();
+  r.extract = extract_.latency();
+  r.infer = infer_.latency();
+  r.latency = latency_.latency();
   // Serve-attributed counters only: training traffic on the shared buffer
   // must not inflate (or dilute) the serve hit rate.
   const FeatureBufferStats now = sub_.feature_buffer->stats(FbClient::kServe);

@@ -37,16 +37,18 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stage_meter.hpp"
+#include "obs/timeseries.hpp"
 #include "serve/coalescer.hpp"
 #include "serve/request_queue.hpp"
+#include "util/worker_group.hpp"
 
 namespace gnndrive {
 
@@ -121,6 +123,8 @@ class ServeEngine : NonCopyable {
   struct ModelSet;
   std::shared_ptr<const ModelSet> current_models() const;
   void publish_models(std::shared_ptr<const ModelSet> set);
+  std::shared_ptr<const ModelSet> make_model_set(GnnModel& source,
+                                                 std::uint64_t version) const;
   void worker_loop(std::uint32_t worker_id);
   void process_batch(std::vector<PendingRequest>&& batch, WorkerState& ws);
   /// Algorithm-1 extraction for a serve micro-batch; returns false when the
@@ -137,6 +141,11 @@ class ServeEngine : NonCopyable {
   NeighborSampler sampler_;
   RequestQueue queue_;
   MicroBatchCoalescer coalescer_;
+  WorkerGroup workers_;  ///< on_error closes queue_
+  StageMeter queue_wait_;  ///< per request: arrival -> picked
+  StageMeter extract_;     ///< per micro-batch extract time
+  StageMeter infer_;       ///< per micro-batch forward pass
+  StageMeter latency_;     ///< per served request: arrival -> done
 
   // Counting semaphore over the serve share of feature-buffer slots.
   std::uint64_t pin_budget_ = 0;
@@ -144,7 +153,6 @@ class ServeEngine : NonCopyable {
   std::condition_variable pin_cv_;
   std::uint64_t pins_in_use_ = 0;
 
-  std::uint32_t covering_row_bytes_ = 0;
   std::uint32_t staging_row_bytes_ = 0;  ///< per staging slot (>= a segment)
   std::uint32_t staging_rows_ = 0;       ///< staging slots per worker
   PinnedBytes staging_pin_;
@@ -152,12 +160,10 @@ class ServeEngine : NonCopyable {
 
   mutable std::mutex models_mu_;
   std::shared_ptr<const ModelSet> models_;
-  std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> next_batch_seq_{0};
   bool running_ = false;
-
-  std::mutex err_mu_;
-  std::exception_ptr error_;
+  /// Time-series sampler lease, held while the engine runs.
+  std::optional<SamplerLease> sampler_lease_;
 
   // Run accounting (always on) + optional registry mirrors.
   std::atomic<std::uint64_t> completed_{0};
@@ -165,10 +171,6 @@ class ServeEngine : NonCopyable {
   std::atomic<std::uint64_t> shed_deadline_{0};
   std::atomic<std::uint64_t> io_errors_{0};
   std::atomic<std::uint64_t> io_retries_{0};
-  ConcurrentHistogram h_queue_wait_;
-  ConcurrentHistogram h_extract_;
-  ConcurrentHistogram h_infer_;
-  ConcurrentHistogram h_latency_;
   FeatureBufferStats fb_at_start_{};
   Counter* m_completed_ = nullptr;      ///< serve.completed
   Counter* m_failed_ = nullptr;         ///< serve.failed
@@ -180,10 +182,6 @@ class ServeEngine : NonCopyable {
   Gauge* m_model_gen_ = nullptr;        ///< serve.model_generation
   Gauge* m_pinned_ = nullptr;           ///< serve.pinned (nodes pinned)
   Gauge* m_running_ = nullptr;          ///< serve.running (/readyz liveness)
-  ConcurrentHistogram* rm_latency_ = nullptr;     ///< serve.latency.us
-  ConcurrentHistogram* rm_queue_wait_ = nullptr;  ///< serve.queue_wait.us
-  ConcurrentHistogram* rm_extract_ = nullptr;     ///< serve.extract.us
-  ConcurrentHistogram* rm_infer_ = nullptr;       ///< serve.infer.us
   ConcurrentHistogram* rm_batch_size_ = nullptr;  ///< serve.batch.size
 };
 

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/extract.hpp"  // CoalesceConfig (shared with training)
-#include "core/system.hpp"   // StageLatency (p50/p95/p99 summary rows)
+#include "obs/stage_meter.hpp"  // StageLatency (p50/p95/p99 summary rows)
 #include "sampling/sampler.hpp"
 
 namespace gnndrive {

@@ -44,8 +44,11 @@ Telemetry::Telemetry(double bucket_ms, std::size_t max_buckets)
 Telemetry::~Telemetry() = default;
 
 void Telemetry::count(FaultCounter c, std::uint64_t n) {
-  counters_[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
   fault_counters_[static_cast<int>(c)]->add(n);
+}
+
+std::uint64_t Telemetry::counter(FaultCounter c) const {
+  return fault_counters_[static_cast<int>(c)]->value();
 }
 
 void Telemetry::set_tracing(bool on) { tracer_->set_enabled(on); }

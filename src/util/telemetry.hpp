@@ -71,12 +71,10 @@ class Telemetry {
   /// Total seconds recorded per category (for summary ratios).
   double total_seconds(TraceCat cat) const;
 
-  /// Fault/retry/timeout counters (independent of start(); always active).
-  /// Also mirrored into the metrics registry under "fault.*" names.
+  /// Fault/retry/timeout counters (independent of start(); always active),
+  /// kept in the metrics registry under "fault.*" names.
   void count(FaultCounter c, std::uint64_t n = 1);
-  std::uint64_t counter(FaultCounter c) const {
-    return counters_[static_cast<int>(c)].load(std::memory_order_relaxed);
-  }
+  std::uint64_t counter(FaultCounter c) const;
 
   // -- Observability subsystem (src/obs) ------------------------------------
   // The telemetry object is the one handle every component already receives,
@@ -121,14 +119,12 @@ class Telemetry {
   std::atomic<std::size_t> hi_bucket_{0};
   // nanoseconds per (bucket, category)
   std::vector<std::array<std::atomic<std::uint64_t>, 3>> cells_;
-  std::array<std::atomic<std::uint64_t>, static_cast<int>(FaultCounter::kCount)>
-      counters_{};
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<SpanTracer> tracer_;
   std::unique_ptr<TimeSeriesSampler> sampler_;
   std::unique_ptr<BottleneckAttributor> attributor_;
   std::unique_ptr<SloWatcher> slo_;
-  /// Registry mirrors of the FaultCounter slots, resolved at construction.
+  /// The registry's "fault.*" counters, resolved at construction.
   std::array<Counter*, static_cast<int>(FaultCounter::kCount)>
       fault_counters_{};
 };

@@ -1,6 +1,11 @@
 // Multi-GPU data parallelism: replica lock-step, gradient equivalence,
-// batch coverage and epoch aggregation.
+// batch coverage, epoch aggregation, and replica failures (degraded batches
+// must not strand a sibling at the gradient barrier; a replica's exception
+// surfaces from run_epoch).
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "core/multi_gpu.hpp"
 
@@ -82,6 +87,58 @@ TEST_F(MultiGpuFixture, BatchCountsEqualAcrossReplicas) {
   // Aggregated count is replicas x equal per-replica count.
   EXPECT_EQ(stats.batches % 3, 0u);
   EXPECT_GT(stats.batches, 0u);
+}
+
+// Makes every read of feature rows [first, first + rows) fail permanently.
+void fail_feature_rows(SsdDevice& ssd, const Dataset& ds, std::uint64_t first,
+                       std::uint64_t rows) {
+  const auto& lay = ds.layout();
+  SsdFaultConfig faults;
+  faults.enabled = true;
+  faults.bad_ranges.push_back(
+      {lay.features_offset + first * lay.feature_row_bytes,
+       lay.features_offset + (first + rows) * lay.feature_row_bytes});
+  ssd.set_fault_config(faults);
+}
+
+TEST_F(MultiGpuFixture, DegradedBatchesDoNotStrandASibling) {
+  auto env = make_env();
+  // One bad row that only some batches sample. Two-hop fanouts and per-row
+  // reads make the failed set exactly the batches holding the row, and on
+  // this seed the replicas' segments degrade different numbers of them
+  // (4 and 0): one replica ends its epoch with fewer gradient syncs than
+  // its sibling, which must not leave the sibling waiting at the barrier.
+  fail_feature_rows(*env.ssd, *dataset, dataset->spec().num_nodes * 5 / 8, 1);
+  MultiGpuConfig cfg = config(2);
+  cfg.replica.common.sampler.fanouts = {4, 4};
+  cfg.replica.coalesce.enabled = false;
+  cfg.replica.fault.backoff_initial_us = 10.0;  // the range never heals
+  MultiGpuGnnDrive system(env.ctx, cfg);
+  const EpochStats stats = system.run_epoch(0);
+  EXPECT_EQ(stats.result.trained_batches + stats.result.failed_batches,
+            stats.batches);
+  EXPECT_GT(stats.result.failed_batches, 0u);
+  EXPECT_GT(stats.result.trained_batches, 0u);
+  EXPECT_GT(stats.result.io_errors, 0u);
+  EXPECT_FALSE(stats.interrupted);
+}
+
+TEST_F(MultiGpuFixture, FailFastReplicaErrorRethrows) {
+  auto env = make_env();
+  // Mid-range rows every toy batch samples: each replica's first batch
+  // fails, and fail_fast turns that into an exception in its thread.
+  fail_feature_rows(*env.ssd, *dataset, dataset->spec().num_nodes / 2, 8);
+  MultiGpuConfig cfg = config(2);
+  cfg.replica.fault.fail_fast = true;
+  cfg.replica.fault.backoff_initial_us = 10.0;
+  MultiGpuGnnDrive system(env.ctx, cfg);
+  try {
+    system.run_epoch(0);
+    FAIL() << "run_epoch did not rethrow the replica's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fail_fast"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(MultiGpuFixture, SingleReplicaMatchesPlainPipeline) {
