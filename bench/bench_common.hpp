@@ -55,10 +55,10 @@ const Dataset& get_dataset(const std::string& name, std::uint32_t dim = 0);
 /// dataset image.
 struct Env {
   const Dataset* dataset = nullptr;
+  std::unique_ptr<Telemetry> telemetry;  ///< first: destroyed last
   std::unique_ptr<SsdDevice> ssd;
   std::unique_ptr<HostMemory> mem;
   std::unique_ptr<PageCache> cache;
-  std::unique_ptr<Telemetry> telemetry;
   RunContext ctx;
 };
 

@@ -18,12 +18,12 @@ IoRing::IoRing(SsdDevice& ssd, IoRingConfig config, PageCache* cache,
     throw std::invalid_argument("buffered IoRing requires a page cache");
   }
   staged_.reserve(config_.queue_depth);
-  if (telemetry_ != nullptr) {
-    MetricsRegistry& reg = *telemetry_->metrics();
-    m_submitted_ = &reg.counter("io.submitted");
-    m_latency_ = &reg.histogram("io.request_us");
-    m_inflight_ = &reg.gauge("io.inflight");
-  }
+  MetricsRegistry& reg = registry_or_own(telemetry_, own_registry_);
+  m_submitted_ = &reg.counter("io.submitted");
+  m_latency_ = &reg.histogram("io.request_us");
+  m_inflight_ = &reg.gauge("io.inflight");
+  m_io_errors_ = &reg.counter(fault_counter_name(FaultCounter::kIoErrors));
+  m_io_timeouts_ = &reg.counter(fault_counter_name(FaultCounter::kIoTimeouts));
 }
 
 IoRing::~IoRing() {
@@ -61,15 +61,11 @@ void IoRing::complete(std::uint64_t ring_id, std::int32_t res) {
     --in_flight_;
     ++draining_;  // holds the destructor open past the touches below
   }
-  if (m_latency_ != nullptr) {
-    m_latency_->add_us(
-        std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)
-            .count());
-  }
-  if (m_inflight_ != nullptr) m_inflight_->sub(1);
-  if (res < 0 && telemetry_ != nullptr) {
-    telemetry_->count(FaultCounter::kIoErrors);
-  }
+  m_latency_->add_us(
+      std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)
+          .count());
+  m_inflight_->sub(1);
+  if (res < 0) m_io_errors_->add();
   // draining_ == 0 releases the destructor, so the decrement must be this
   // thread's last touch of the ring — and both notifies stay under the lock
   // so a woken waiter cannot destroy the condvars mid-notify.
@@ -131,8 +127,8 @@ unsigned IoRing::submit() {
     in_flight_ += n;
   }
   if (n > 0) {
-    if (m_submitted_ != nullptr) m_submitted_->add(n);
-    if (m_inflight_ != nullptr) m_inflight_->add(n);
+    m_submitted_->add(n);
+    m_inflight_->add(n);
   }
   for (const Sqe& sqe : staged_) submit_one(sqe);
   staged_.clear();
@@ -167,18 +163,13 @@ unsigned IoRing::cancel_expired(Duration timeout) {
       --in_flight_;
       if (in_flight_ == 0 && draining_ == 0) all_done_.notify_all();
     }
-    if (m_latency_ != nullptr) {
-      m_latency_->add_us(
-          std::chrono::duration<double, std::micro>(Clock::now() -
-                                                    submitted_at)
-              .count());
-    }
-    if (m_inflight_ != nullptr) m_inflight_->sub(1);
+    m_latency_->add_us(
+        std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)
+            .count());
+    m_inflight_->sub(1);
     ++cancelled;
-    if (telemetry_ != nullptr) {
-      telemetry_->count(FaultCounter::kIoTimeouts);
-      telemetry_->count(FaultCounter::kIoErrors);
-    }
+    m_io_timeouts_->add();
+    m_io_errors_->add();
     cq_ready_.notify_one();
   }
   return cancelled;

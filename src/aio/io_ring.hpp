@@ -25,6 +25,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -36,10 +37,6 @@
 #include "util/telemetry.hpp"
 
 namespace gnndrive {
-
-class Counter;
-class ConcurrentHistogram;
-class Gauge;
 
 struct Cqe {
   std::uint64_t user_data = 0;
@@ -60,7 +57,8 @@ struct IoRingConfig {
 class IoRing : NonCopyable {
  public:
   /// `cache` is required in buffered mode (throws std::invalid_argument
-  /// otherwise), ignored in direct mode.
+  /// otherwise), ignored in direct mode. Without `telemetry` the ring
+  /// counts into a private registry.
   IoRing(SsdDevice& ssd, IoRingConfig config, PageCache* cache = nullptr,
          Telemetry* telemetry = nullptr);
   ~IoRing();
@@ -118,7 +116,7 @@ class IoRing : NonCopyable {
   SsdDevice& ssd_;
   const IoRingConfig config_;
   PageCache* cache_;
-  Telemetry* telemetry_;
+  Telemetry* telemetry_;  ///< I/O-wait tracing only; may be null
 
   std::vector<Sqe> staged_;
 
@@ -131,12 +129,15 @@ class IoRing : NonCopyable {
   unsigned in_flight_ = 0;
   unsigned draining_ = 0;  ///< device callbacks still inside complete()
 
-  // Observability (resolved from telemetry's registry; null without it).
-  // Multiple rings share the instruments: counters/histograms aggregate,
-  // the in-flight gauge is updated with deltas so it sums across rings.
-  Counter* m_submitted_ = nullptr;         ///< io.submitted
-  ConcurrentHistogram* m_latency_ = nullptr;  ///< io.request_us
-  Gauge* m_inflight_ = nullptr;            ///< io.inflight
+  // Instruments, from the telemetry's registry or own_registry_. Multiple
+  // rings share them: counters/histograms aggregate, the in-flight gauge is
+  // updated with deltas so it sums across rings.
+  std::unique_ptr<MetricsRegistry> own_registry_;
+  Counter* m_submitted_;            ///< io.submitted
+  ConcurrentHistogram* m_latency_;  ///< io.request_us
+  Gauge* m_inflight_;               ///< io.inflight
+  Counter* m_io_errors_;            ///< fault.io_errors (error CQEs)
+  Counter* m_io_timeouts_;          ///< fault.io_timeouts (cancelled)
 };
 
 }  // namespace gnndrive

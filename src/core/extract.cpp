@@ -17,12 +17,12 @@ bool transient_error(std::int32_t res) {
   return res == -EIO || res == -ETIMEDOUT;
 }
 
-ExtractMetricHooks resolve_extract_hooks(Telemetry* telemetry) {
-  if (telemetry == nullptr) return {};
-  MetricsRegistry& reg = *telemetry->metrics();
-  return {&reg.counter("io.coalesce.segments"), &reg.counter("io.coalesce.rows"),
-          &reg.histogram("io.coalesce.rows_per_read"),
-          &reg.gauge("io.staging_in_use")};
+ExtractMetricHooks resolve_extract_hooks(MetricsRegistry& registry) {
+  return {&registry.counter("io.coalesce.segments"),
+          &registry.counter("io.coalesce.rows"),
+          &registry.histogram("io.coalesce.rows_per_read"),
+          &registry.gauge("io.staging_in_use"),
+          &registry.counter(fault_counter_name(FaultCounter::kIoRetries))};
 }
 
 std::uint32_t covering_bytes_for(std::uint32_t row_bytes,
@@ -263,7 +263,7 @@ bool extract_load_set(SampledBatch& batch,
       std::lock_guard lk(tracker.m);
       tracker.free_rows.push_back(row);
     }
-    if (hooks.staging_in_use != nullptr) hooks.staging_in_use->sub(1);
+    hooks.staging_in_use->sub(1);
     tracker.cv.notify_all();
   };
   const auto fail_segment = [&](std::size_t s) {
@@ -310,7 +310,7 @@ bool extract_load_set(SampledBatch& batch,
         row = tracker.free_rows.back();
         tracker.free_rows.pop_back();
       }
-      if (hooks.staging_in_use != nullptr) hooks.staging_in_use->add(1);
+      hooks.staging_in_use->add(1);
       const std::size_t s = submitted++;
       row_of[s] = row;
       const SegmentPlan::Segment& seg = plan.segments[s];
@@ -329,11 +329,9 @@ bool extract_load_set(SampledBatch& batch,
       }
       ++counters.segments;
       counters.rows_loaded += seg.num_rows;
-      if (hooks.segments != nullptr) hooks.segments->add();
-      if (hooks.rows != nullptr) hooks.rows->add(seg.num_rows);
-      if (hooks.rows_per_read != nullptr) {
-        hooks.rows_per_read->add_us(static_cast<double>(seg.num_rows));
-      }
+      hooks.segments->add();
+      hooks.rows->add(seg.num_rows);
+      hooks.rows_per_read->add_us(static_cast<double>(seg.num_rows));
       submit_segment(s);
     }
     if (failed && submitted < n_seg) {
@@ -388,9 +386,7 @@ bool extract_load_set(SampledBatch& batch,
           attempts[s] < policy.max_retries) {
         ++attempts[s];
         ++counters.io_retries;
-        if (env.telemetry != nullptr) {
-          env.telemetry->count(FaultCounter::kIoRetries);
-        }
+        hooks.io_retries->add();
         const Duration delay =
             policy.backoff ? policy.backoff(attempts[s]) : Duration::zero();
         if (delay <= Duration::zero()) {
@@ -454,7 +450,7 @@ bool extract_load_set(SampledBatch& batch,
               // segment has left it.
               if (--tracker.rows_left[s] == 0) {
                 tracker.free_rows.push_back(row);
-                if (g_staging != nullptr) g_staging->sub(1);
+                g_staging->sub(1);
               }
               tracker.cv.notify_all();
             });
@@ -484,7 +480,7 @@ bool extract_load_set(SampledBatch& batch,
       std::lock_guard lk(tracker.m);
       tracker.transfers_done += seg.num_rows;
       tracker.free_rows.push_back(row);
-      if (hooks.staging_in_use != nullptr) hooks.staging_in_use->sub(1);
+      hooks.staging_in_use->sub(1);
     }
   }
 

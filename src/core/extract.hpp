@@ -45,14 +45,12 @@
 #include "aio/io_ring.hpp"
 #include "core/feature_buffer.hpp"
 #include "graph/dataset.hpp"
+#include "obs/metrics.hpp"
 #include "sampling/block.hpp"
 
 namespace gnndrive {
 
 class GpuDevice;
-class Counter;
-class Gauge;
-class ConcurrentHistogram;
 class Telemetry;
 
 /// Coalescing knobs, shared verbatim by GnnDriveConfig and ServeConfig.
@@ -129,7 +127,7 @@ struct ExtractEnv {
   std::uint32_t staging_row_bytes = 0;  ///< per-row slot size (>= any segment)
   std::uint32_t staging_rows = 0;       ///< number of recycled row slots
   GpuDevice* gpu = nullptr;             ///< null: host memcpy scatter
-  Telemetry* telemetry = nullptr;       ///< optional (fault counters, traces)
+  Telemetry* telemetry = nullptr;       ///< optional (I/O-wait traces)
   /// Staging rows are device memory (GPUDirect Storage): reads align to
   /// kPageSize and segments scatter by on-device copy. Requires `gpu`.
   bool device_staging = false;
@@ -151,20 +149,25 @@ struct ExtractPolicy {
   const char* fail_event = "extract_failed";
 };
 
-/// Registry instruments for the coalescing fast path, resolved once per
-/// worker by the caller (all optional).
+/// Registry instruments for the extraction loop, resolved once per worker
+/// by resolve_extract_hooks. A field left unset points at an unread sink
+/// (UnreadInstruments), so the loop updates every hook unconditionally.
 struct ExtractMetricHooks {
-  Counter* segments = nullptr;              ///< io.coalesce.segments
-  Counter* rows = nullptr;                  ///< io.coalesce.rows
-  ConcurrentHistogram* rows_per_read = nullptr;  ///< io.coalesce.rows_per_read
-  Gauge* staging_in_use = nullptr;          ///< io.staging_in_use (rows held)
+  /// io.coalesce.segments, io.coalesce.rows, io.coalesce.rows_per_read
+  Counter* segments = &UnreadInstruments::get().counter;
+  Counter* rows = &UnreadInstruments::get().counter;
+  ConcurrentHistogram* rows_per_read = &UnreadInstruments::get().histogram;
+  /// io.staging_in_use (rows held)
+  Gauge* staging_in_use = &UnreadInstruments::get().gauge;
+  /// fault.io_retries
+  Counter* io_retries = &UnreadInstruments::get().counter;
 };
 
-/// The registry's hooks (all null without telemetry).
-ExtractMetricHooks resolve_extract_hooks(Telemetry* telemetry);
+/// The hooks, resolved from `registry`.
+ExtractMetricHooks resolve_extract_hooks(MetricsRegistry& registry);
 
 /// Per-call accounting, merged by the caller into its own counters
-/// (EpochResult for training, atomics for serving).
+/// (EpochResult for training, the serve.* counters for serving).
 struct ExtractCounters {
   std::uint64_t io_errors = 0;
   std::uint64_t io_retries = 0;

@@ -35,37 +35,33 @@ FeatureBuffer::FeatureBuffer(const FeatureBufferConfig& config,
       map_(num_nodes),
       reverse_(config.num_slots, kInvalidNode),
       standby_(config.num_slots),
-      storage_(config.num_slots * config.row_floats, 0.0f) {
+      storage_(config.num_slots * config.row_floats, 0.0f),
+      registry_(registry_or_own(telemetry, own_registry_)),
+      m_(registry_, kCountNames),
+      m_client_{{registry_, kClientCountNames[0]},
+                {registry_, kClientCountNames[1]}},
+      m_standby_(&registry_.gauge("fb.standby")),
+      m_hot_slots_(&registry_.gauge("fb.hot.slots")),
+      m_cold_slots_(&registry_.gauge("fb.cold.slots")) {
   // All slots start free: populate the standby list in slot order.
   for (std::uint64_t s = 0; s < num_slots_; ++s) {
     standby_.push_mru(static_cast<std::uint32_t>(s));
   }
-  if (telemetry != nullptr) {
-    MetricsRegistry& reg = *telemetry->metrics();
-    m_reuse_hits_ = &reg.counter("fb.reuse_hits");
-    m_wait_hits_ = &reg.counter("fb.wait_hits");
-    m_loads_ = &reg.counter("fb.loads");
-    m_slot_waits_ = &reg.counter("fb.slot_waits");
-    m_failed_ = &reg.counter("fb.failed_loads");
-    m_evictions_ = &reg.counter("fb.evictions");
-    m_batch_locks_ = &reg.counter("fb.batch_lock_acquisitions");
-    m_hot_hits_ = &reg.counter("fb.hot.hits");
-    m_standby_ = &reg.gauge("fb.standby");
-    m_standby_->set(static_cast<std::int64_t>(standby_.size()));
-    m_hot_slots_ = &reg.gauge("fb.hot.slots");
-    m_cold_slots_ = &reg.gauge("fb.cold.slots");
-    m_cold_slots_->set(static_cast<std::int64_t>(num_slots_));
-    m_client_lookups_[0] = &reg.counter("fb.train.lookups");
-    m_client_hits_[0] = &reg.counter("fb.train.hits");
-    m_client_lookups_[1] = &reg.counter("fb.serve.lookups");
-    m_client_hits_[1] = &reg.counter("fb.serve.hits");
-  }
+  publish_standby_locked();
+  m_cold_slots_->set(static_cast<std::int64_t>(num_slots_));
+}
+
+void FeatureBuffer::count_triage(FbClient client, Triage t, std::uint64_t n) {
+  const CounterSet<kNumClientCounts>& c =
+      m_client_[static_cast<std::size_t>(client)];
+  m_[t].add(n);
+  c[t].add(n);
+  c[kLookups].add(n);
+  if (t != kLoad) c[kHits].add(n);
 }
 
 void FeatureBuffer::publish_standby_locked() {
-  if (m_standby_ != nullptr) {
-    m_standby_->set(static_cast<std::int64_t>(standby_.size()));
-  }
+  m_standby_->set(static_cast<std::int64_t>(standby_.size()));
 }
 
 FeatureBuffer::CheckResult FeatureBuffer::check_and_ref(NodeId node,
@@ -77,8 +73,7 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref(NodeId node,
 void FeatureBuffer::check_and_ref_batch(const NodeId* nodes, std::size_t n,
                                         CheckResult* out, FbClient client) {
   std::lock_guard lock(mu_);
-  ++stats_.batch_lock_acquisitions;
-  if (m_batch_locks_ != nullptr) m_batch_locks_->add();
+  m_[kBatchLocks].add();
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = check_and_ref_locked(nodes[i], client);
   }
@@ -87,23 +82,17 @@ void FeatureBuffer::check_and_ref_batch(const NodeId* nodes, std::size_t n,
 FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
     NodeId node, FbClient client) {
   GD_DCHECK_MSG(node < map_.size(), "check_and_ref on out-of-range node");
-  const auto ci = static_cast<std::size_t>(client);
   Entry& e = map_[node];
   if (e.pinned) {
     // Hot-partition member: its slot can never be reclaimed, so no
     // reference is taken (release() on it is a symmetric no-op). Callers
     // that pre-filter through hot_slot() never reach here; this path keeps
-    // single-node users (tests, baselines) correct. All hot hits live in
-    // the lock-free atomics so stats() has a single source to merge.
+    // single-node users (tests, baselines) correct.
     GD_CHECK_MSG(e.valid, "pinned entry not valid (prefetch incomplete)");
-    hot_hits_[ci].fetch_add(1, std::memory_order_relaxed);
-    if (m_hot_hits_ != nullptr) m_hot_hits_->add();
-    if (m_client_lookups_[ci] != nullptr) m_client_lookups_[ci]->add();
-    if (m_client_hits_[ci] != nullptr) m_client_hits_[ci]->add();
+    count_triage(client, kHot);
     return {CheckStatus::kReady, e.slot};
   }
   CheckResult result;
-  bool hit = false;
   if (e.valid) {
     GD_CHECK_MSG(e.slot != kNoSlot, "valid entry without slot");
     if (e.ref_count == 0) {
@@ -112,28 +101,18 @@ FeatureBuffer::CheckResult FeatureBuffer::check_and_ref_locked(
       standby_.remove(static_cast<std::uint32_t>(e.slot));
       publish_standby_locked();
     }
-    ++stats_.reuse_hits;
-    ++by_client_[ci].reuse_hits;
-    if (m_reuse_hits_ != nullptr) m_reuse_hits_->add();
+    count_triage(client, kReuse);
     result = {CheckStatus::kReady, e.slot};
-    hit = true;
   } else if (e.ref_count > 0) {
     // Another extractor is loading this node right now (or has marked it
     // failed and its references are still draining — waiters then see the
     // failure from wait_ready and fail their own batch).
-    ++stats_.wait_hits;
-    ++by_client_[ci].wait_hits;
-    if (m_wait_hits_ != nullptr) m_wait_hits_->add();
+    count_triage(client, kWait);
     result = {CheckStatus::kInFlight, e.slot};
-    hit = true;
   } else {
-    ++stats_.loads;
-    ++by_client_[ci].loads;
-    if (m_loads_ != nullptr) m_loads_->add();
+    count_triage(client, kLoad);
     result = {CheckStatus::kMustLoad, kNoSlot};
   }
-  if (m_client_lookups_[ci] != nullptr) m_client_lookups_[ci]->add();
-  if (hit && m_client_hits_[ci] != nullptr) m_client_hits_[ci]->add();
   ++e.ref_count;
   return result;
 }
@@ -146,8 +125,7 @@ SlotId FeatureBuffer::allocate_slot(NodeId node) {
 void FeatureBuffer::allocate_slots(const NodeId* nodes, std::size_t n,
                                    SlotId* out) {
   std::unique_lock lock(mu_);
-  ++stats_.batch_lock_acquisitions;
-  if (m_batch_locks_ != nullptr) m_batch_locks_->add();
+  m_[kBatchLocks].add();
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = allocate_slot_locked(lock, nodes[i]);
   }
@@ -159,8 +137,7 @@ SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
   GD_CHECK_MSG(!e.valid && e.slot == kNoSlot && e.ref_count > 0,
                "allocate_slot on node not in kMustLoad state");
   if (standby_.empty()) {
-    ++stats_.slot_waits;
-    if (m_slot_waits_ != nullptr) m_slot_waits_->add();
+    m_[kSlotWaits].add();
     slot_available_.wait(lock, [&] { return !standby_.empty(); });
   }
   const std::uint32_t slot = standby_.pop_lru();
@@ -172,7 +149,7 @@ SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
                  "standby slot owner had live references");
     map_[prev].valid = false;
     map_[prev].slot = kNoSlot;
-    if (m_evictions_ != nullptr) m_evictions_->add();
+    m_[kEvictions].add();
   }
   reverse_[slot] = node;
   e.slot = static_cast<SlotId>(slot);
@@ -196,8 +173,7 @@ void FeatureBuffer::mark_failed(NodeId node) {
     GD_CHECK_MSG(e.ref_count > 0, "mark_failed on unreferenced node");
     GD_CHECK_MSG(!e.valid, "mark_failed on valid node");
     e.failed = true;
-    ++stats_.failed_loads;
-    if (m_failed_ != nullptr) m_failed_->add();
+    m_[kFailedLoads].add();
   }
   became_valid_.notify_all();
 }
@@ -264,8 +240,7 @@ void FeatureBuffer::release(const std::vector<NodeId>& nodes) {
   bool freed = false;
   {
     std::lock_guard lock(mu_);
-    ++stats_.batch_lock_acquisitions;
-    if (m_batch_locks_ != nullptr) m_batch_locks_->add();
+    m_[kBatchLocks].add();
     for (NodeId node : nodes) freed |= retire_locked(node);
     if (freed) publish_standby_locked();
   }
@@ -311,12 +286,8 @@ std::vector<SlotId> FeatureBuffer::pin_hot(
   }
   hot_count_ = hot_nodes.size();
   publish_standby_locked();
-  if (m_hot_slots_ != nullptr) {
-    m_hot_slots_->set(static_cast<std::int64_t>(hot_count_));
-  }
-  if (m_cold_slots_ != nullptr) {
-    m_cold_slots_->set(static_cast<std::int64_t>(num_slots_ - hot_count_));
-  }
+  m_hot_slots_->set(static_cast<std::int64_t>(hot_count_));
+  m_cold_slots_->set(static_cast<std::int64_t>(num_slots_ - hot_count_));
   return out;
 }
 
@@ -336,11 +307,7 @@ void FeatureBuffer::seal_hot() {
 
 void FeatureBuffer::record_hot_hits(std::uint64_t n, FbClient client) {
   if (n == 0) return;
-  const auto ci = static_cast<std::size_t>(client);
-  hot_hits_[ci].fetch_add(n, std::memory_order_relaxed);
-  if (m_hot_hits_ != nullptr) m_hot_hits_->add(n);
-  if (m_client_lookups_[ci] != nullptr) m_client_lookups_[ci]->add(n);
-  if (m_client_hits_[ci] != nullptr) m_client_hits_[ci]->add(n);
+  count_triage(client, kHot, n);
 }
 
 FeatureBuffer::Entry FeatureBuffer::entry(NodeId node) const {
@@ -360,19 +327,23 @@ std::size_t FeatureBuffer::standby_size() const {
 
 FeatureBufferStats FeatureBuffer::stats() const {
   std::lock_guard lock(mu_);
-  FeatureBufferStats s = stats_;
-  for (std::size_t ci = 0; ci < kNumFbClients; ++ci) {
-    s.hot_hits += hot_hits_[ci].load(std::memory_order_relaxed);
-  }
-  return s;
+  return FeatureBufferStats{.hot_hits = m_.view(kHot),
+                            .reuse_hits = m_.view(kReuse),
+                            .wait_hits = m_.view(kWait),
+                            .loads = m_.view(kLoad),
+                            .slot_waits = m_.view(kSlotWaits),
+                            .failed_loads = m_.view(kFailedLoads),
+                            .batch_lock_acquisitions = m_.view(kBatchLocks)};
 }
 
 FeatureBufferStats FeatureBuffer::stats(FbClient client) const {
   std::lock_guard lock(mu_);
-  const auto ci = static_cast<std::size_t>(client);
-  FeatureBufferStats s = by_client_[ci];
-  s.hot_hits = hot_hits_[ci].load(std::memory_order_relaxed);
-  return s;
+  const CounterSet<kNumClientCounts>& c =
+      m_client_[static_cast<std::size_t>(client)];
+  return FeatureBufferStats{.hot_hits = c.view(kHot),
+                            .reuse_hits = c.view(kReuse),
+                            .wait_hits = c.view(kWait),
+                            .loads = c.view(kLoad)};
 }
 
 }  // namespace gnndrive

@@ -31,17 +31,17 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/common.hpp"
 #include "util/lru.hpp"
 
 namespace gnndrive {
 
-class Counter;
-class Gauge;
 class Telemetry;
 
 /// Which workload a feature-buffer lookup is attributed to. Training and
@@ -56,6 +56,8 @@ struct FeatureBufferConfig {
   std::uint32_t row_floats = 0;  ///< floats per slot (feature dimension)
 };
 
+/// A view of the fb.* registry counters: their growth since the buffer was
+/// built (FeatureBuffer::stats()).
 struct FeatureBufferStats {
   std::uint64_t hot_hits = 0;      ///< node resolved from the pinned region
   std::uint64_t reuse_hits = 0;    ///< node found valid in the buffer
@@ -94,8 +96,9 @@ struct FeatureBufferStats {
 
 class FeatureBuffer : NonCopyable {
  public:
-  /// `telemetry` (optional) publishes the hit/miss/eviction counters and the
-  /// standby-list gauge into its metrics registry under "fb.*" names.
+  /// `telemetry` (optional) receives the hit/miss/eviction counters and the
+  /// standby-list gauge in its metrics registry under "fb.*" names; without
+  /// it the buffer counts into a private registry.
   /// Throws std::invalid_argument when the config is unusable (zero slots,
   /// more slots than the LRU index space, zero-width rows) — construction
   /// is the validation point, not the first hot-path GD_CHECK.
@@ -216,11 +219,14 @@ class FeatureBuffer : NonCopyable {
   Entry entry(NodeId node) const;
   NodeId reverse(SlotId slot) const;  ///< kInvalidNode when slot is empty
   std::size_t standby_size() const;
-  /// Merged view across both clients.
+  /// Merged view across both clients: the fb.* counters' growth since
+  /// construction. Buffers that share one telemetry share the counters, so
+  /// while two are live each view includes the other's traffic.
   FeatureBufferStats stats() const;
-  /// Triage counters attributed to one client (hot/reuse/wait/loads only;
-  /// the shared fields — slot_waits, failed_loads, lock counts — are
-  /// buffer-global and reported by the merged stats()).
+  /// Triage counters attributed to one client (hot/reuse/wait/loads only,
+  /// from fb.train.* / fb.serve.*; the shared fields — slot_waits,
+  /// failed_loads, lock counts — are buffer-global and reported by the
+  /// merged stats()).
   FeatureBufferStats stats(FbClient client) const;
 
   static constexpr NodeId kInvalidNode = 0xffffffffu;
@@ -234,6 +240,28 @@ class FeatureBuffer : NonCopyable {
   /// allocate_slot body; may release `lock` to wait for a standby slot.
   SlotId allocate_slot_locked(std::unique_lock<std::mutex>& lock, NodeId node);
 
+  /// How check_and_ref resolved a lookup: the first counters of both the
+  /// buffer-wide and the per-client counter sets.
+  enum Triage : std::size_t { kHot, kReuse, kWait, kLoad, kNumTriage };
+  enum Count : std::size_t {
+    kSlotWaits = kNumTriage, kFailedLoads, kEvictions, kBatchLocks, kNumCounts
+  };
+  enum ClientCount : std::size_t {
+    kLookups = kNumTriage, kHits, kNumClientCounts
+  };
+  static constexpr CounterSet<kNumCounts>::Names kCountNames = {
+      "fb.hot.hits",    "fb.reuse_hits",  "fb.wait_hits",
+      "fb.loads",       "fb.slot_waits",  "fb.failed_loads",
+      "fb.evictions",   "fb.batch_lock_acquisitions"};
+  static constexpr CounterSet<kNumClientCounts>::Names
+      kClientCountNames[kNumFbClients] = {
+          {"fb.train.hot_hits", "fb.train.reuse_hits", "fb.train.wait_hits",
+           "fb.train.loads", "fb.train.lookups", "fb.train.hits"},
+          {"fb.serve.hot_hits", "fb.serve.reuse_hits", "fb.serve.wait_hits",
+           "fb.serve.loads", "fb.serve.lookups", "fb.serve.hits"}};
+  /// Counts `n` lookups by `client` that resolved as `t`.
+  void count_triage(FbClient client, Triage t, std::uint64_t n = 1);
+
   const std::uint64_t num_slots_;
   const std::uint32_t row_floats_;
 
@@ -245,35 +273,24 @@ class FeatureBuffer : NonCopyable {
   std::vector<NodeId> reverse_;       ///< per slot
   IndexedLruList standby_;            ///< unpinned slots with refcount == 0
   std::vector<float> storage_;
-  FeatureBufferStats stats_;
-  /// Per-client triage counters (hot/reuse/wait/loads), guarded by mu_
-  /// except hot_hits which is mirrored from the lock-free atomics below.
-  FeatureBufferStats by_client_[kNumFbClients];
-
   // Hot partition. hot_map_ is written only before the release-store of
   // hot_sealed_; readers pair it with an acquire-load in hot_slot(), so the
   // mapping is immutable once visible and needs no lock.
   std::vector<SlotId> hot_map_;  ///< node -> pinned slot (kNoSlot when cold)
   std::uint64_t hot_count_ = 0;
   std::atomic<bool> hot_sealed_{false};
-  std::atomic<std::uint64_t> hot_hits_[kNumFbClients] = {};
 
-  // Observability (all null without telemetry; see docs/observability.md).
+  // Instruments (docs/observability.md): the only store of the buffer's
+  // counts, in the telemetry's registry or own_registry_. Hot hits are
+  // counted lock-free, everything else under mu_.
   void publish_standby_locked();
-  Counter* m_reuse_hits_ = nullptr;   ///< fb.reuse_hits
-  Counter* m_wait_hits_ = nullptr;    ///< fb.wait_hits
-  Counter* m_loads_ = nullptr;        ///< fb.loads
-  Counter* m_slot_waits_ = nullptr;   ///< fb.slot_waits
-  Counter* m_failed_ = nullptr;       ///< fb.failed_loads
-  Counter* m_evictions_ = nullptr;    ///< fb.evictions (slot re-assigned)
-  Counter* m_batch_locks_ = nullptr;  ///< fb.batch_lock_acquisitions
-  Counter* m_hot_hits_ = nullptr;     ///< fb.hot.hits
-  Gauge* m_standby_ = nullptr;        ///< fb.standby (list length)
-  Gauge* m_hot_slots_ = nullptr;      ///< fb.hot.slots (pinned region size)
-  Gauge* m_cold_slots_ = nullptr;     ///< fb.cold.slots (evictable region)
-  /// fb.train.lookups / fb.train.hits / fb.serve.lookups / fb.serve.hits
-  Counter* m_client_lookups_[kNumFbClients] = {};
-  Counter* m_client_hits_[kNumFbClients] = {};
+  std::unique_ptr<MetricsRegistry> own_registry_;
+  MetricsRegistry& registry_;
+  CounterSet<kNumCounts> m_;
+  CounterSet<kNumClientCounts> m_client_[kNumFbClients];
+  Gauge* m_standby_;     ///< fb.standby (list length)
+  Gauge* m_hot_slots_;   ///< fb.hot.slots (pinned region size)
+  Gauge* m_cold_slots_;  ///< fb.cold.slots (evictable region)
 };
 
 }  // namespace gnndrive

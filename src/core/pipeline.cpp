@@ -39,7 +39,7 @@ struct GnnDrive::ExtractorState {
   ExtractEnv env;             ///< this worker's ring and staging rows
   Rng backoff_rng{0};         ///< jitter source, seeded per worker
   ExtractCounters counters;   ///< accumulated since the last flush
-  ExtractMetricHooks hooks;   ///< io.coalesce.* (null w/o registry)
+  ExtractMetricHooks hooks;   ///< io.coalesce.*, fault.io_retries
   /// Extract sub-phase attribution for the current batch, accumulated only
   /// while tracing is enabled (the real loop interleaves submit / SSD wait
   /// / transfer wait; the worker emits them as sequential synthetic spans).
@@ -56,7 +56,7 @@ struct GnnDrive::ExtractorState {
 };
 
 GnnDrive::GnnDrive(const RunContext& ctx, GnnDriveConfig config)
-    : ctx_(ctx), config_(std::move(config)),
+    : ctx_(with_telemetry(ctx, own_telemetry_)), config_(std::move(config)),
       sampler_(config_.common.sampler), adam_(config_.common.adam) {
   const Dataset& ds = *ctx_.dataset;
   HostMemory& mem = *ctx_.host_mem;
@@ -277,10 +277,8 @@ bool GnnDrive::extract_batch(SampledBatch& batch, ExtractorState& state) {
   FeatureBuffer& fb = *feature_buffer_;
   const FaultToleranceConfig& ft = config_.fault;
 
-  SpanTracer* tracer =
-      ctx_.telemetry != nullptr ? ctx_.telemetry->tracer() : nullptr;
   state.trace = ExtractTrace{};
-  state.trace.tracing = tracer != nullptr && tracer->enabled();
+  state.trace.tracing = ctx_.telemetry->tracing();
 
   std::vector<std::uint32_t> wait_idx;
   std::vector<std::uint32_t> load_idx;
@@ -484,42 +482,33 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   // Observability handles for this epoch (see docs/observability.md). Stage
   // histograms are always-on relaxed atomics; spans are recorded only while
   // tracing is enabled.
-  Telemetry* tel = ctx_.telemetry;
-  MetricsRegistry* reg = tel != nullptr ? tel->metrics() : nullptr;
-  SpanTracer* tracer = tel != nullptr ? tel->tracer() : nullptr;
-  const bool tracing = tracer != nullptr && tracer->enabled();
+  Telemetry& tel = *ctx_.telemetry;
+  MetricsRegistry& reg = *tel.metrics();
+  SpanTracer* tracer = tel.tracer();
+  const bool tracing = tracer->enabled();
   const auto epoch32 = static_cast<std::uint32_t>(epoch);
 
   // Live telemetry plane: refresh the attributor's topology, lease the
   // time-series sampler for the duration of the epoch (replaces the old
   // tracing-only 5 ms monitor thread — the sampler re-emits every gauge as
   // a trace counter track while tracing is on), and mark the process ready.
-  BottleneckAttributor* attributor = tel != nullptr ? tel->attributor() : nullptr;
-  if (attributor != nullptr) {
-    AttributionConfig ac = attributor->config();
-    ac.num_samplers = config_.num_samplers;
-    ac.num_extractors = num_extractors_;
-    ac.extract_queue_cap = config_.extract_queue_cap;
-    ac.train_queue_cap = config_.train_queue_cap;
-    if (ctx_.ssd != nullptr) ac.ssd_channels = ctx_.ssd->config().channels;
-    attributor->set_config(ac);
-  }
-  Gauge* g_running = reg != nullptr ? &reg->gauge("pipeline.running") : nullptr;
-  if (reg != nullptr) {
-    reg->gauge("pipeline.epoch").set(static_cast<std::int64_t>(epoch));
-  }
-  if (g_running != nullptr) g_running->add(1);
+  BottleneckAttributor& attributor = *tel.attributor();
+  AttributionConfig ac = attributor.config();
+  ac.num_samplers = config_.num_samplers;
+  ac.num_extractors = num_extractors_;
+  ac.extract_queue_cap = config_.extract_queue_cap;
+  ac.train_queue_cap = config_.train_queue_cap;
+  if (ctx_.ssd != nullptr) ac.ssd_channels = ctx_.ssd->config().channels;
+  attributor.set_config(ac);
+  reg.gauge("pipeline.epoch").set(static_cast<std::int64_t>(epoch));
+  Gauge& running = reg.gauge("pipeline.running");
+  running.add(1);
   struct RunningGuard {
-    Gauge* g;
-    ~RunningGuard() {
-      if (g != nullptr) g->sub(1);
-    }
-  } running_guard{g_running};
-  SamplerLease sampler_lease(tel != nullptr ? tel->sampler() : nullptr);
-  MetricsRegistry::Snapshot epoch_begin_snap;
-  if (reg != nullptr && attributor != nullptr) {
-    epoch_begin_snap = reg->snapshot();
-  }
+    Gauge& g;
+    ~RunningGuard() { g.sub(1); }
+  } running_guard{running};
+  SamplerLease sampler_lease(tel.sampler());
+  const MetricsRegistry::Snapshot epoch_begin_snap = reg.snapshot();
 
   // Release-queue payload: the node list plus the batch id, so release spans
   // line up with the rest of the batch's trace.
@@ -531,17 +520,15 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   BoundedQueue<SampledBatch> extract_q(config_.extract_queue_cap);
   BoundedQueue<SampledBatch> train_q(config_.train_queue_cap);
   BoundedQueue<ReleaseItem> release_q(16);
-  if (reg != nullptr) {
-    extract_q.bind_metrics(&reg->gauge("pipeline.extract_q.depth"),
-                           &reg->counter("pipeline.extract_q.push_blocked"),
-                           &reg->counter("pipeline.extract_q.pop_blocked"));
-    train_q.bind_metrics(&reg->gauge("pipeline.train_q.depth"),
-                         &reg->counter("pipeline.train_q.push_blocked"),
-                         &reg->counter("pipeline.train_q.pop_blocked"));
-    release_q.bind_metrics(&reg->gauge("pipeline.release_q.depth"),
-                           &reg->counter("pipeline.release_q.push_blocked"),
-                           &reg->counter("pipeline.release_q.pop_blocked"));
-  }
+  extract_q.bind_metrics(&reg.gauge("pipeline.extract_q.depth"),
+                         &reg.counter("pipeline.extract_q.push_blocked"),
+                         &reg.counter("pipeline.extract_q.pop_blocked"));
+  train_q.bind_metrics(&reg.gauge("pipeline.train_q.depth"),
+                       &reg.counter("pipeline.train_q.push_blocked"),
+                       &reg.counter("pipeline.train_q.pop_blocked"));
+  release_q.bind_metrics(&reg.gauge("pipeline.release_q.depth"),
+                         &reg.counter("pipeline.release_q.push_blocked"),
+                         &reg.counter("pipeline.release_q.pop_blocked"));
   // Stage spans follow the tracing switch as it stood when the epoch began,
   // like the queue-wait and extract sub-phase spans below.
   const auto span = [tracing](const char* s) { return tracing ? s : nullptr; };
@@ -631,7 +618,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
         env.gpu = gpu_.get();
         env.telemetry = ctx_.telemetry;
         env.device_staging = config_.gds_mode;
-        state.hooks = resolve_extract_hooks(ctx_.telemetry);
+        state.hooks = resolve_extract_hooks(reg);
         for (;;) {
           const TimePoint qb = tracing ? Clock::now() : TimePoint{};
           auto batch = extract_q.pop();
@@ -666,9 +653,7 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
           // Graceful degradation: the batch never trains, but its
           // references must still drain so slots return to standby.
           failed_batches.fetch_add(1);
-          if (ctx_.telemetry) {
-            ctx_.telemetry->count(FaultCounter::kFailedBatches);
-          }
+          tel.count(FaultCounter::kFailedBatches);
           log_structured(LogLevel::kWarn, "batch_failed",
                          {kv("batch", batch->batch_id), kv("epoch", epoch),
                           kv("io_errors", state.counters.io_errors),
@@ -796,11 +781,9 @@ EpochStats GnnDrive::run_epoch(std::uint64_t epoch) {
   // Epoch-scoped bottleneck report: diagnose the epoch just run from its
   // bounding registry snapshots and publish it (structured "attribution"
   // event + the /attribution endpoint's latest report).
-  if (reg != nullptr && attributor != nullptr) {
-    attributor->publish(attributor->attribute(
-        epoch_begin_snap, reg->snapshot(), stats.epoch_seconds,
-        "epoch " + std::to_string(epoch)));
-  }
+  attributor.publish(attributor.attribute(epoch_begin_snap, reg.snapshot(),
+                                          stats.epoch_seconds,
+                                          "epoch " + std::to_string(epoch)));
   return stats;
 }
 

@@ -121,6 +121,7 @@ struct GnnDriveConfig {
 
 class GnnDrive final : public TrainSystem {
  public:
+  /// Without `ctx.telemetry` the system creates and counts into its own.
   GnnDrive(const RunContext& ctx, GnnDriveConfig config);
   ~GnnDrive() override;
 
@@ -225,7 +226,8 @@ class GnnDrive final : public TrainSystem {
   /// explicit); never from both at once.
   std::uint64_t write_checkpoint(std::uint64_t epoch, std::uint64_t next_batch);
 
-  RunContext ctx_;
+  std::unique_ptr<Telemetry> own_telemetry_;  ///< when ctx has none
+  RunContext ctx_;  ///< telemetry never null
   GnnDriveConfig config_;
   NeighborSampler sampler_;
 

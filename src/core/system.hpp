@@ -27,6 +27,18 @@ struct RunContext {
   Telemetry* telemetry = nullptr;  ///< optional
 };
 
+/// `ctx`, or — when it carries no telemetry — `ctx` with a telemetry created
+/// in `own`. GNNDrive and the serve engine run on the result, so their
+/// instruments and stage meters are never null.
+inline RunContext with_telemetry(RunContext ctx,
+                                 std::unique_ptr<Telemetry>& own) {
+  if (ctx.telemetry == nullptr) {
+    own = std::make_unique<Telemetry>();
+    ctx.telemetry = own.get();
+  }
+  return ctx;
+}
+
 /// Structured fault/recovery summary for one epoch. All-zero on a clean
 /// epoch; populated instead of hanging or aborting when the storage layer
 /// injects (or a real backend produces) I/O failures.

@@ -9,22 +9,12 @@
 namespace gnndrive {
 
 PageCache::PageCache(HostMemory& mem, SsdDevice& ssd, Telemetry* telemetry)
-    : mem_(mem), ssd_(ssd), telemetry_(telemetry) {
-  set_telemetry(telemetry);
-}
-
-void PageCache::set_telemetry(Telemetry* t) {
-  telemetry_ = t;
-  if (t == nullptr) {
-    m_hits_ = m_misses_ = m_evictions_ = m_fault_wait_us_ = nullptr;
-    return;
-  }
-  MetricsRegistry& reg = *t->metrics();
-  m_hits_ = &reg.counter("pagecache.hits");
-  m_misses_ = &reg.counter("pagecache.misses");
-  m_evictions_ = &reg.counter("pagecache.evictions");
-  m_fault_wait_us_ = &reg.counter("pagecache.fault_wait_us");
-}
+    : mem_(mem), ssd_(ssd), telemetry_(telemetry),
+      m_(registry_or_own(telemetry, own_registry_),
+         {"pagecache.hits", "pagecache.misses", "pagecache.evictions",
+          "pagecache.fault_wait_us",
+          fault_counter_name(FaultCounter::kIoErrors),
+          fault_counter_name(FaultCounter::kIoRetries)}) {}
 
 std::uint64_t PageCache::capacity_pages() const {
   return mem_.available() / kPageSize;
@@ -42,12 +32,14 @@ bool PageCache::contains_page(std::uint64_t page_no) const {
 
 PageCacheStats PageCache::stats() const {
   std::lock_guard lock(mu_);
-  return stats_;
+  return PageCacheStats{.hits = m_.view(kHits),
+                        .misses = m_.view(kMisses),
+                        .evictions = m_.view(kEvictions)};
 }
 
 void PageCache::reset_stats() {
   std::lock_guard lock(mu_);
-  stats_ = PageCacheStats{};
+  m_.rebase();
 }
 
 void PageCache::invalidate_all() {
@@ -63,8 +55,7 @@ void PageCache::evict_to_capacity_locked() {
     const std::uint64_t victim = lru_.front();
     lru_.pop_front();
     resident_.erase(victim);
-    ++stats_.evictions;
-    if (m_evictions_ != nullptr) m_evictions_->add();
+    m_[kEvictions].add();
   }
 }
 
@@ -74,30 +65,25 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
   if (it != resident_.end()) {
     // Hit: move to MRU position.
     lru_.splice(lru_.end(), lru_, it->second);
-    ++stats_.hits;
-    if (m_hits_ != nullptr) m_hits_->add();
+    m_[kHits].add();
     return true;
   }
   if (loading_.count(page_no) != 0) {
     // Another thread is faulting the same page: wait, like a real page fault
     // on a locked page. Attributed as a miss for this caller.
-    ++stats_.misses;
-    if (m_misses_ != nullptr) m_misses_->add();
+    m_[kMisses].add();
     ScopedTrace trace(telemetry_, TraceCat::kIoWait);
     const TimePoint wait_t0 = Clock::now();
     load_done_.wait(lock, [&] { return loading_.count(page_no) == 0; });
-    if (m_fault_wait_us_ != nullptr) {
-      m_fault_wait_us_->add(static_cast<std::uint64_t>(
-          to_seconds(Clock::now() - wait_t0) * 1e6));
-    }
+    m_[kFaultWaitUs].add(static_cast<std::uint64_t>(
+        to_seconds(Clock::now() - wait_t0) * 1e6));
     auto again = resident_.find(page_no);
     if (again != resident_.end()) {
       lru_.splice(lru_.end(), lru_, again->second);
     }
     return false;
   }
-  ++stats_.misses;
-  if (m_misses_ != nullptr) m_misses_->add();
+  m_[kMisses].add();
   loading_.insert(page_no);
   lock.unlock();
   const TimePoint fault_t0 = Clock::now();
@@ -118,10 +104,8 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
     for (int attempt = 0; attempt < 4; ++attempt) {
       res = ssd_.read_sync(off, len, scratch);
       if (res >= 0) break;
-      if (telemetry_ != nullptr) {
-        telemetry_->count(FaultCounter::kIoErrors);
-        if (attempt < 3) telemetry_->count(FaultCounter::kIoRetries);
-      }
+      m_[kIoErrors].add();
+      if (attempt < 3) m_[kIoRetries].add();
     }
     if (res < 0) {
       lock.lock();
@@ -130,10 +114,8 @@ bool PageCache::fault_page(std::unique_lock<std::mutex>& lock,
       throw std::runtime_error("PageCache: device read failed after retries");
     }
   }
-  if (m_fault_wait_us_ != nullptr) {
-    m_fault_wait_us_->add(static_cast<std::uint64_t>(
-        to_seconds(Clock::now() - fault_t0) * 1e6));
-  }
+  m_[kFaultWaitUs].add(static_cast<std::uint64_t>(
+      to_seconds(Clock::now() - fault_t0) * 1e6));
   lock.lock();
   loading_.erase(page_no);
   resident_[page_no] = lru_.insert(lru_.end(), page_no);
@@ -164,16 +146,14 @@ bool PageCache::try_read_resident(std::uint64_t offset, std::uint64_t len,
     std::lock_guard lock(mu_);
     for (std::uint64_t p = first; p <= last; ++p) {
       if (resident_.find(p) == resident_.end()) {
-        ++stats_.misses;
-        if (m_misses_ != nullptr) m_misses_->add();
+        m_[kMisses].add();
         return false;
       }
     }
     for (std::uint64_t p = first; p <= last; ++p) {
       auto it = resident_.find(p);
       lru_.splice(lru_.end(), lru_, it->second);
-      ++stats_.hits;
-      if (m_hits_ != nullptr) m_hits_->add();
+      m_[kHits].add();
     }
   }
   ssd_.backend().read(offset, static_cast<std::uint32_t>(len), dst);

@@ -14,6 +14,7 @@
 
 #include <condition_variable>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,6 +26,8 @@
 
 namespace gnndrive {
 
+/// A view of the pagecache.* registry counters: their growth since the
+/// cache was built or last reset_stats().
 struct PageCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -39,7 +42,8 @@ struct PageCacheStats {
 class PageCache : NonCopyable {
  public:
   /// The cache sizes itself dynamically from `mem.available()`; it pins
-  /// nothing itself. `telemetry` may be null.
+  /// nothing itself. `telemetry` may be null: the cache then counts into a
+  /// private registry.
   PageCache(HostMemory& mem, SsdDevice& ssd, Telemetry* telemetry = nullptr);
 
   /// Copies `len` bytes at device offset `offset` into `dst`, faulting the
@@ -65,12 +69,10 @@ class PageCache : NonCopyable {
   bool contains_page(std::uint64_t page_no) const;
   std::uint64_t resident_pages() const;
   std::uint64_t capacity_pages() const;
+  /// Counts since construction or the last reset_stats(), read from the
+  /// pagecache.* registry counters (which never go backwards).
   PageCacheStats stats() const;
   void reset_stats();
-
-  /// Also (re)resolves the pagecache.* registry counters the bottleneck
-  /// attributor reads for its thrash diagnosis.
-  void set_telemetry(Telemetry* t);
 
  private:
   /// Makes `page_no` resident; returns true on hit. Called with mu_ held;
@@ -80,16 +82,17 @@ class PageCache : NonCopyable {
 
   HostMemory& mem_;
   SsdDevice& ssd_;
-  Telemetry* telemetry_;
-  /// Registry mirrors (null without telemetry); bumped under mu_ at the
-  /// same sites as stats_, so windowed deltas match stats() exactly.
-  Counter* m_hits_ = nullptr;       ///< pagecache.hits
-  Counter* m_misses_ = nullptr;     ///< pagecache.misses
-  Counter* m_evictions_ = nullptr;  ///< pagecache.evictions
-  /// pagecache.fault_wait_us: wall time callers spent blocked in
-  /// fault_page (device reads + waits on another thread's load). The
-  /// attributor reads its windowed delta as the cache's stall cost.
-  Counter* m_fault_wait_us_ = nullptr;
+  Telemetry* telemetry_;  ///< I/O-wait tracing only; may be null
+  /// The cache's counters (the pagecache.* ones feed the attributor's
+  /// thrash diagnosis), in the telemetry's registry or own_registry_.
+  /// kFaultWaitUs is the wall time callers spent blocked in fault_page
+  /// (device reads + waits on another thread's load): the attributor reads
+  /// its windowed delta as the cache's stall cost.
+  enum Count : std::size_t {
+    kHits, kMisses, kEvictions, kFaultWaitUs, kIoErrors, kIoRetries, kNumCounts
+  };
+  std::unique_ptr<MetricsRegistry> own_registry_;
+  CounterSet<kNumCounts> m_;
 
   mutable std::mutex mu_;
   std::condition_variable load_done_;
@@ -98,7 +101,6 @@ class PageCache : NonCopyable {
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
       resident_;
   std::unordered_set<std::uint64_t> loading_;
-  PageCacheStats stats_;
 };
 
 }  // namespace gnndrive

@@ -4,6 +4,11 @@
 
 namespace gnndrive {
 
+UnreadInstruments& UnreadInstruments::get() {
+  static UnreadInstruments sink;
+  return sink;
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = counters_[name];

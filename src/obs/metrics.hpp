@@ -1,11 +1,17 @@
 // Unified metrics registry for the observability layer.
 //
-// Every subsystem that used to keep ad-hoc counters (feature-buffer
-// hits/misses, SsdStats, fault counters) publishes them here under stable
-// dotted names so benches, the end-of-epoch report and the trace exporter
-// see one coherent set. Three instrument kinds:
+// The registry is the only store of the system's event counts: SSD
+// requests (ssd.*), page-cache hits and misses (pagecache.*), feature-buffer
+// triage (fb.*), serving outcomes (serve.*) and faults (fault.*) are each
+// counted once, here, under stable dotted names. The per-component Stats
+// structs (SsdStats, PageCacheStats, FeatureBufferStats, ServeReport) are
+// views: registry values minus a baseline the component takes at
+// construction or reset_stats() (CounterSet below). A component built
+// without telemetry counts into a private registry (registry_or_own in
+// util/telemetry.hpp), so every instrument pointer is non-null. Three
+// instrument kinds:
 //
-//   Counter   — monotonic event count (relaxed atomic add).
+//   Counter   — monotonic event count (relaxed atomic add); never decreases.
 //   Gauge     — instantaneous level (queue depth, in-flight requests) with a
 //               high-watermark.
 //   Histogram — thread-safe log2-bucket latency histogram; snapshots into
@@ -18,6 +24,7 @@
 // registry's lifetime. Metric names are listed in docs/observability.md.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -34,8 +41,9 @@ namespace gnndrive {
 class Counter : NonCopyable {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  /// Overwrites the value — for mirroring an externally-maintained monotonic
-  /// counter (e.g. SsdStats) into the registry at snapshot points.
+  /// Overwrites the value. Breaks monotonicity, so no component counts with
+  /// it; it remains for tests of registry readers that must cope with a
+  /// counter going backwards (see perfbench's RegistryDiff).
   void store(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
@@ -115,6 +123,16 @@ class ConcurrentHistogram : NonCopyable {
   std::atomic<std::uint64_t> max_ns_{0};
 };
 
+/// Instruments that belong to no registry and are never read: the default
+/// target of an instrument pointer a caller may leave unset (see
+/// ExtractMetricHooks), so the code updating it needs no null test.
+struct UnreadInstruments {
+  Counter counter;
+  Gauge gauge;
+  ConcurrentHistogram histogram;
+  static UnreadInstruments& get();
+};
+
 class MetricsRegistry : NonCopyable {
  public:
   /// Find-or-create by name. Returned references stay valid for the
@@ -144,6 +162,41 @@ class MetricsRegistry : NonCopyable {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<ConcurrentHistogram>> histograms_;
+};
+
+/// A component's named registry counters, read as their growth since a
+/// baseline: the store behind a Stats view. Index with the component's own
+/// enum; the counters themselves never go backwards.
+template <std::size_t N>
+class CounterSet {
+ public:
+  using Names = std::array<const char*, N>;
+
+  /// Resolves `names` in `registry`; every view starts at zero.
+  CounterSet(MetricsRegistry& registry, const Names& names) : names_(names) {
+    for (std::size_t i = 0; i < N; ++i) c_[i] = &registry.counter(names_[i]);
+    rebase();
+  }
+  Counter& operator[](std::size_t i) const { return *c_[i]; }
+  std::uint64_t view(std::size_t i) const { return c_[i]->value() - base_[i]; }
+  /// Restarts every view at zero (reset_stats()).
+  void rebase() {
+    for (std::size_t i = 0; i < N; ++i) base_[i] = c_[i]->value();
+  }
+  /// Counts into `registry`'s counters of the same names from now on; the
+  /// views carry on unchanged (unsigned wrap keeps the difference right).
+  void rebind(MetricsRegistry& registry) {
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::uint64_t v = view(i);
+      c_[i] = &registry.counter(names_[i]);
+      base_[i] = c_[i]->value() - v;
+    }
+  }
+
+ private:
+  Names names_;
+  std::array<Counter*, N> c_;
+  std::array<std::uint64_t, N> base_;
 };
 
 }  // namespace gnndrive

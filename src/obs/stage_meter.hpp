@@ -36,21 +36,17 @@ struct StageLatency {
 
 class StageMeter : NonCopyable {
  public:
-  /// Without telemetry only the run-local histogram is kept; a null `span`
-  /// records no span.
-  StageMeter(Telemetry* telemetry, const char* metric, const char* span)
-      : span_(span) {
-    if (telemetry == nullptr) return;
-    registry_ = &telemetry->metrics()->histogram(metric);
-    if (span_ != nullptr) tracer_ = telemetry->tracer();
-  }
+  /// A null `span` records no span.
+  StageMeter(Telemetry& telemetry, const char* metric, const char* span)
+      : span_(span), registry_(&telemetry.metrics()->histogram(metric)),
+        tracer_(telemetry.tracer()) {}
 
   void record(std::uint64_t batch_id, std::uint32_t epoch, TimePoint begin,
               TimePoint end) {
     const double us = to_seconds(end - begin) * 1e6;
     local_.add_us(us);
-    if (registry_ != nullptr) registry_->add_us(us);
-    if (tracer_ != nullptr) tracer_->record(span_, batch_id, epoch, begin, end);
+    registry_->add_us(us);
+    if (span_ != nullptr) tracer_->record(span_, batch_id, epoch, begin, end);
   }
 
   StageLatency latency() const {
@@ -64,8 +60,8 @@ class StageMeter : NonCopyable {
  private:
   const char* span_;
   ConcurrentHistogram local_;
-  ConcurrentHistogram* registry_ = nullptr;
-  SpanTracer* tracer_ = nullptr;
+  ConcurrentHistogram* registry_;
+  SpanTracer* tracer_;
 };
 
 }  // namespace gnndrive

@@ -87,20 +87,24 @@ struct ServeEngine::WorkerState {
   /// under an in-flight forward pass).
   std::shared_ptr<const ModelSet> models;
   GnnModel* model = nullptr;             ///< this worker's forward replica
-  ExtractMetricHooks hooks;              ///< io.coalesce.* (null w/o registry)
+  ExtractMetricHooks hooks;              ///< io.coalesce.*, fault.io_retries
 };
 
 ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
                          ServeSubstrate substrate)
-    : ctx_(ctx), config_(config), sub_(substrate),
-      sampler_(config_.sampler),
-      queue_(config_, ctx.telemetry),
+    : ctx_(with_telemetry(ctx, own_telemetry_)), config_(config),
+      sub_(substrate), sampler_(config_.sampler),
+      queue_(config_, *ctx_.telemetry->metrics()),
       coalescer_(queue_, config_.max_batch, config_.max_wait_us),
       workers_([this] { queue_.close(); }),  // fail fast: stop admitting
-      queue_wait_(ctx.telemetry, "serve.queue_wait.us", nullptr),
-      extract_(ctx.telemetry, "serve.extract.us", kSpanServeExtract),
-      infer_(ctx.telemetry, "serve.infer.us", kSpanServeInfer),
-      latency_(ctx.telemetry, "serve.latency.us", nullptr) {
+      queue_wait_(*ctx_.telemetry, "serve.queue_wait.us", nullptr),
+      extract_(*ctx_.telemetry, "serve.extract.us", kSpanServeExtract),
+      infer_(*ctx_.telemetry, "serve.infer.us", kSpanServeInfer),
+      latency_(*ctx_.telemetry, "serve.latency.us", nullptr),
+      m_(*ctx_.telemetry->metrics(),
+         {"serve.completed", "serve.failed", "serve.shed_deadline",
+          "serve.batches", "serve.io_retries", "serve.io_errors",
+          "serve.hot_swaps"}) {
   GD_CHECK_MSG(ctx_.dataset != nullptr && ctx_.ssd != nullptr,
                "ServeEngine needs a dataset and an SSD");
   GD_CHECK_MSG(sub_.feature_buffer != nullptr && sub_.params != nullptr,
@@ -142,37 +146,28 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
 
   models_ = make_model_set(*sub_.params, 0);
 
-  if (ctx_.telemetry != nullptr) {
-    MetricsRegistry& reg = *ctx_.telemetry->metrics();
-    m_completed_ = &reg.counter("serve.completed");
-    m_failed_ = &reg.counter("serve.failed");
-    m_shed_ = &reg.counter("serve.shed_deadline");
-    m_batches_ = &reg.counter("serve.batches");
-    m_io_retries_ = &reg.counter("serve.io_retries");
-    m_io_errors_ = &reg.counter("serve.io_errors");
-    m_hot_swaps_ = &reg.counter("serve.hot_swaps");
-    m_model_gen_ = &reg.gauge("serve.model_generation");
-    m_pinned_ = &reg.gauge("serve.pinned");
-    m_running_ = &reg.gauge("serve.running");
-    rm_batch_size_ = &reg.histogram("serve.batch.size");
+  MetricsRegistry& reg = *ctx_.telemetry->metrics();
+  m_model_gen_ = &reg.gauge("serve.model_generation");
+  m_pinned_ = &reg.gauge("serve.pinned");
+  m_running_ = &reg.gauge("serve.running");
+  rm_batch_size_ = &reg.histogram("serve.batch.size");
 
-    // Tell the attributor about the serve side of the topology and register
-    // a windowed p99-vs-SLO rule so the watcher alerts the moment serving
-    // degrades, instead of after a run-summary aggregate drifts.
-    AttributionConfig ac = ctx_.telemetry->attributor()->config();
-    ac.serve_workers = config_.workers;
-    ac.serve_slo_us = config_.slo.deadline_ms * 1e3;
-    ctx_.telemetry->attributor()->set_config(ac);
-    if (config_.slo.deadline_ms > 0) {
-      SloRule rule;
-      rule.name = "serve_p99_slo";
-      rule.kind = SloRule::Kind::kHistogramQuantile;
-      rule.metric = "serve.latency.us";
-      rule.quantile = 0.99;
-      rule.threshold = config_.slo.deadline_ms * 1e3;
-      rule.window_s = 2.0;
-      ctx_.telemetry->slo()->add_rule(std::move(rule));
-    }
+  // Tell the attributor about the serve side of the topology and register
+  // a windowed p99-vs-SLO rule so the watcher alerts the moment serving
+  // degrades, instead of after a run-summary aggregate drifts.
+  AttributionConfig ac = ctx_.telemetry->attributor()->config();
+  ac.serve_workers = config_.workers;
+  ac.serve_slo_us = config_.slo.deadline_ms * 1e3;
+  ctx_.telemetry->attributor()->set_config(ac);
+  if (config_.slo.deadline_ms > 0) {
+    SloRule rule;
+    rule.name = "serve_p99_slo";
+    rule.kind = SloRule::Kind::kHistogramQuantile;
+    rule.metric = "serve.latency.us";
+    rule.quantile = 0.99;
+    rule.threshold = config_.slo.deadline_ms * 1e3;
+    rule.window_s = 2.0;
+    ctx_.telemetry->slo()->add_rule(std::move(rule));
   }
 
   GD_LOG_INFO("ServeEngine: workers=%u max_batch=%u wait=%.0fus "
@@ -206,10 +201,8 @@ void ServeEngine::start() {
   running_ = true;
   // Liveness + telemetry lease: /readyz keys off serve.running, and the
   // time-series sampler runs for as long as the engine accepts requests.
-  if (m_running_ != nullptr) m_running_->add(1);
-  if (ctx_.telemetry != nullptr) {
-    sampler_lease_.emplace(ctx_.telemetry->sampler());
-  }
+  m_running_->add(1);
+  sampler_lease_.emplace(ctx_.telemetry->sampler());
   for (std::uint32_t w = 0; w < config_.workers; ++w) {
     workers_.spawn([this, w] { worker_loop(w); });
   }
@@ -224,7 +217,7 @@ void ServeEngine::stop() {
   queue_.close();
   workers_.join();
   running_ = false;
-  if (m_running_ != nullptr) m_running_->sub(1);
+  m_running_->sub(1);
   sampler_lease_.reset();
   workers_.rethrow();
 }
@@ -238,9 +231,7 @@ std::shared_ptr<const ServeEngine::ModelSet> ServeEngine::current_models()
 void ServeEngine::publish_models(std::shared_ptr<const ModelSet> set) {
   std::lock_guard lk(models_mu_);
   models_ = std::move(set);
-  if (m_model_gen_ != nullptr) {
-    m_model_gen_->set(static_cast<std::int64_t>(models_->version));
-  }
+  m_model_gen_->set(static_cast<std::int64_t>(models_->version));
 }
 
 std::uint64_t ServeEngine::model_generation() const {
@@ -273,7 +264,7 @@ std::uint64_t ServeEngine::hot_swap_from(CheckpointManager& manager,
   auto loaded = manager.load_latest(staged, /*adam=*/nullptr, expect);
   if (!loaded.has_value()) return 0;
   publish_models(make_model_set(staged, loaded->generation));
-  if (m_hot_swaps_ != nullptr) m_hot_swaps_->add();
+  m_[kHotSwaps].add();
   GD_LOG_INFO("ServeEngine: hot-swapped to checkpoint generation %llu",
               static_cast<unsigned long long>(loaded->generation));
   return loaded->generation;
@@ -283,9 +274,7 @@ void ServeEngine::acquire_pins(std::uint64_t n) {
   std::unique_lock lk(pin_mu_);
   pin_cv_.wait(lk, [&] { return pin_budget_ - pins_in_use_ >= n; });
   pins_in_use_ += n;
-  if (m_pinned_ != nullptr) {
-    m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
-  }
+  m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
 }
 
 void ServeEngine::release_pins(std::uint64_t n) {
@@ -293,9 +282,7 @@ void ServeEngine::release_pins(std::uint64_t n) {
     std::lock_guard lk(pin_mu_);
     GD_CHECK_MSG(pins_in_use_ >= n, "serve pin accounting underflow");
     pins_in_use_ -= n;
-    if (m_pinned_ != nullptr) {
-      m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
-    }
+    m_pinned_->set(static_cast<std::int64_t>(pins_in_use_));
   }
   pin_cv_.notify_all();
 }
@@ -312,19 +299,16 @@ void ServeEngine::finish(PendingRequest& r, InferStatus status,
   res.coalesced_with = coalesced;
   switch (status) {
     case InferStatus::kOk:
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_completed_ != nullptr) m_completed_->add();
+      m_[kCompleted].add();
       // The SLO latency distribution covers served requests only; shed and
       // failed requests are counted, not timed.
       latency_.record(r.id, 0, r.arrival, done);
       break;
     case InferStatus::kShedDeadline:
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      if (m_shed_ != nullptr) m_shed_->add();
+      m_[kShedDeadline].add();
       break;
     case InferStatus::kFailed:
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      if (m_failed_ != nullptr) m_failed_->add();
+      m_[kFailed].add();
       break;
     case InferStatus::kRejected:
       break;  // resolved by the queue, never reaches here
@@ -342,7 +326,7 @@ void ServeEngine::worker_loop(std::uint32_t worker_id) {
   ws.ring = std::make_unique<IoRing>(*ctx_.ssd, rc, nullptr, ctx_.telemetry);
   ws.staging_base = staging_.data() + static_cast<std::uint64_t>(worker_id) *
                                           staging_rows_ * staging_row_bytes_;
-  ws.hooks = resolve_extract_hooks(ctx_.telemetry);
+  ws.hooks = resolve_extract_hooks(*ctx_.telemetry->metrics());
   for (;;) {
     auto batch = coalescer_.collect();
     if (batch.empty()) return;  // queue closed & drained
@@ -362,10 +346,8 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
       kServeBatchBase |
       (next_batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   const auto coalesced = static_cast<std::uint32_t>(batch.size());
-  if (m_batches_ != nullptr) m_batches_->add();
-  if (rm_batch_size_ != nullptr) {
-    rm_batch_size_->add_us(static_cast<double>(coalesced));
-  }
+  m_[kBatches].add();
+  rm_batch_size_->add_us(static_cast<double>(coalesced));
 
   // Deadline shedding: a request whose SLO already expired while queued is
   // resolved immediately — spending I/O on it cannot make it on-time, and
@@ -402,10 +384,8 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
     BusyScope busy(ctx_.telemetry);
     sb = sampler_.sample(batch_id, seeds, *ws.topo, nullptr);
   }
-  if (ctx_.telemetry != nullptr) {
-    ctx_.telemetry->tracer()->record(kSpanServeSample, batch_id, 0, ts,
-                                     Clock::now());
-  }
+  ctx_.telemetry->tracer()->record(kSpanServeSample, batch_id, 0, ts,
+                                   Clock::now());
 
   bool served = false;
   std::vector<std::int32_t> pred(active.size(), -1);
@@ -522,14 +502,8 @@ bool ServeEngine::extract_batch(SampledBatch& batch, WorkerState& ws) {
   ExtractCounters ec;
   bool ok = extract_load_set(batch, load_idx, env, policy, ws.hooks, ec,
                              nullptr);
-  if (ec.io_errors > 0) {
-    io_errors_.fetch_add(ec.io_errors, std::memory_order_relaxed);
-    if (m_io_errors_ != nullptr) m_io_errors_->add(ec.io_errors);
-  }
-  if (ec.io_retries > 0) {
-    io_retries_.fetch_add(ec.io_retries, std::memory_order_relaxed);
-    if (m_io_retries_ != nullptr) m_io_retries_->add(ec.io_retries);
-  }
+  m_[kIoErrors].add(ec.io_errors);
+  m_[kIoRetries].add(ec.io_retries);
 
   // Wait-list resolution: nodes a training extractor (or a sibling serve
   // worker) is loading. The loader always resolves them; the timeout only
@@ -542,13 +516,13 @@ ServeReport ServeEngine::report() const {
   ServeReport r;
   r.submitted = queue_.submitted();
   r.rejected = queue_.rejected();
-  r.completed = completed_.load(std::memory_order_relaxed);
-  r.failed = failed_.load(std::memory_order_relaxed);
-  r.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
+  r.completed = m_.view(kCompleted);
+  r.failed = m_.view(kFailed);
+  r.shed_deadline = m_.view(kShedDeadline);
   r.batches = coalescer_.batches();
   r.coalesce_factor = coalescer_.coalesce_factor();
-  r.io_errors = io_errors_.load(std::memory_order_relaxed);
-  r.io_retries = io_retries_.load(std::memory_order_relaxed);
+  r.io_errors = m_.view(kIoErrors);
+  r.io_retries = m_.view(kIoRetries);
   r.queue_wait = queue_wait_.latency();
   r.extract = extract_.latency();
   r.infer = infer_.latency();

@@ -70,6 +70,7 @@ struct ServeSubstrate {
 
 class ServeEngine : NonCopyable {
  public:
+  /// Without `ctx.telemetry` the engine creates and counts into its own.
   ServeEngine(const RunContext& ctx, const ServeConfig& config,
               ServeSubstrate substrate);
   /// Convenience: serve alongside (or after) training on `host`, sharing
@@ -135,7 +136,8 @@ class ServeEngine : NonCopyable {
   void finish(PendingRequest& r, InferStatus status, std::int32_t cls,
               std::uint32_t coalesced, TimePoint done);
 
-  RunContext ctx_;
+  std::unique_ptr<Telemetry> own_telemetry_;  ///< when ctx has none
+  RunContext ctx_;  ///< telemetry never null
   ServeConfig config_;
   ServeSubstrate sub_;
   NeighborSampler sampler_;
@@ -165,24 +167,19 @@ class ServeEngine : NonCopyable {
   /// Time-series sampler lease, held while the engine runs.
   std::optional<SamplerLease> sampler_lease_;
 
-  // Run accounting (always on) + optional registry mirrors.
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> io_errors_{0};
-  std::atomic<std::uint64_t> io_retries_{0};
+  // Run accounting: the registry instruments are the only count; report()
+  // reads the counters' growth since construction (the feature buffer's
+  // serve counters since start()).
+  enum Count : std::size_t {
+    kCompleted, kFailed, kShedDeadline, kBatches, kIoRetries, kIoErrors,
+    kHotSwaps, kNumCounts
+  };
+  CounterSet<kNumCounts> m_;
+  Gauge* m_model_gen_;  ///< serve.model_generation
+  Gauge* m_pinned_;     ///< serve.pinned (nodes pinned)
+  Gauge* m_running_;    ///< serve.running (/readyz liveness)
+  ConcurrentHistogram* rm_batch_size_;  ///< serve.batch.size
   FeatureBufferStats fb_at_start_{};
-  Counter* m_completed_ = nullptr;      ///< serve.completed
-  Counter* m_failed_ = nullptr;         ///< serve.failed
-  Counter* m_shed_ = nullptr;           ///< serve.shed_deadline
-  Counter* m_batches_ = nullptr;        ///< serve.batches
-  Counter* m_io_retries_ = nullptr;     ///< serve.io_retries
-  Counter* m_io_errors_ = nullptr;      ///< serve.io_errors
-  Counter* m_hot_swaps_ = nullptr;      ///< serve.hot_swaps
-  Gauge* m_model_gen_ = nullptr;        ///< serve.model_generation
-  Gauge* m_pinned_ = nullptr;           ///< serve.pinned (nodes pinned)
-  Gauge* m_running_ = nullptr;          ///< serve.running (/readyz liveness)
-  ConcurrentHistogram* rm_batch_size_ = nullptr;  ///< serve.batch.size
 };
 
 }  // namespace gnndrive

@@ -14,12 +14,11 @@
 #include <future>
 #include <optional>
 
+#include "obs/metrics.hpp"
 #include "serve/request.hpp"
 #include "util/queue.hpp"
 
 namespace gnndrive {
-
-class Telemetry;
 
 /// One admitted request in flight through the serving pipeline. Moved from
 /// the queue into a micro-batch; the promise is resolved exactly once by
@@ -36,9 +35,9 @@ struct PendingRequest {
 
 class RequestQueue : NonCopyable {
  public:
-  /// `telemetry` (optional) publishes serve.submitted / serve.rejected and
-  /// the serve.queue.depth gauge into the metrics registry.
-  RequestQueue(const ServeConfig& config, Telemetry* telemetry);
+  /// Counts serve.submitted / serve.rejected and the serve.queue.depth gauge
+  /// in `registry`.
+  RequestQueue(const ServeConfig& config, MetricsRegistry& registry);
 
   /// Admits or sheds. Never blocks: on a full (or closed) queue the
   /// promise is resolved with kRejected before returning. The returned
@@ -57,21 +56,16 @@ class RequestQueue : NonCopyable {
 
   std::size_t depth() const { return q_.size(); }
   std::size_t max_depth() const { return q_.max_size(); }
-  std::uint64_t submitted() const {
-    return submitted_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
+  /// Requests submitted / rejected since construction (registry views).
+  std::uint64_t submitted() const { return m_.view(kSubmitted); }
+  std::uint64_t rejected() const { return m_.view(kRejected); }
 
  private:
+  enum Count : std::size_t { kSubmitted, kRejected, kNumCounts };
   const double deadline_ms_;
   BoundedQueue<PendingRequest> q_;
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  Counter* m_submitted_ = nullptr;  ///< serve.submitted
-  Counter* m_rejected_ = nullptr;   ///< serve.rejected
+  CounterSet<kNumCounts> m_;  ///< serve.submitted, serve.rejected
 };
 
 }  // namespace gnndrive

@@ -127,7 +127,10 @@ FaultInjector::Decision FaultInjector::decide(bool is_read,
 }
 
 SsdDevice::SsdDevice(SsdConfig config, std::shared_ptr<SsdBackend> backend)
-    : config_(config), backend_(std::move(backend)) {
+    : config_(config), backend_(std::move(backend)),
+      own_registry_(std::make_unique<MetricsRegistry>()),
+      m_(*own_registry_, kCountNames),
+      m_pending_(&own_registry_->gauge("ssd.pending")) {
   GD_CHECK(config_.channels > 0);
   channel_free_.assign(config_.channels, Clock::now());
   device_thread_ = std::thread([this] { device_loop(); });
@@ -212,11 +215,11 @@ std::uint64_t SsdDevice::submit(Op op, std::uint64_t offset, std::uint32_t len,
       req.injected_res = d.res;
       req.stuck = d.stuck;
       if (d.res < 0) {
-        ++stats_.injected_eio;
+        m_[kInjectedEio].add();
       } else if (d.stuck) {
-        ++stats_.injected_stuck;
+        m_[kInjectedStuck].add();
       } else if (d.latency_multiplier > 1.0) {
-        ++stats_.injected_spikes;
+        m_[kInjectedSpikes].add();
         service = std::chrono::duration_cast<Duration>(
             service * d.latency_multiplier);
       }
@@ -231,18 +234,18 @@ std::uint64_t SsdDevice::submit(Op op, std::uint64_t offset, std::uint32_t len,
       const TimePoint start = std::max(now, *it);
       req.done_at = start + service;
       *it = req.done_at;
-      stats_.busy_seconds += to_seconds(service);
+      add_busy_locked(service);
     }
     if (op == Op::kRead) {
-      ++stats_.reads;
-      stats_.bytes_read += len;
+      m_[kReads].add();
+      m_[kBytesRead].add(len);
     } else {
-      ++stats_.writes;
-      stats_.bytes_written += len;
+      m_[kWrites].add();
+      m_[kBytesWritten].add(len);
     }
     pending_.push(std::move(req));
     ++in_flight_;
-    mirror_stats_locked();
+    set_pending_locked();
   }
   cv_.notify_one();
   return token;
@@ -281,12 +284,9 @@ bool SsdDevice::try_cancel(std::uint64_t token) {
   }
   if (!found) return false;
   cancelled_.insert(token);
-  ++stats_.cancelled;
-  mirror_stats_locked();
+  m_[kCancelled].add();
   --in_flight_;
-  if (m_.pending != nullptr) {
-    m_.pending->set(static_cast<std::int64_t>(in_flight_));
-  }
+  set_pending_locked();
   if (in_flight_ == 0) drained_.notify_all();
   cv_.notify_one();
   return true;
@@ -350,49 +350,40 @@ void SsdDevice::drain() {
 
 SsdStats SsdDevice::stats() const {
   std::lock_guard lock(mu_);
-  return stats_;
+  return SsdStats{
+      .reads = m_.view(kReads),
+      .writes = m_.view(kWrites),
+      .bytes_read = m_.view(kBytesRead),
+      .bytes_written = m_.view(kBytesWritten),
+      .busy_seconds = static_cast<double>(m_.view(kBusyUs)) / 1e6,
+      .injected_eio = m_.view(kInjectedEio),
+      .injected_spikes = m_.view(kInjectedSpikes),
+      .injected_stuck = m_.view(kInjectedStuck),
+      .cancelled = m_.view(kCancelled)};
 }
 
 void SsdDevice::reset_stats() {
   std::lock_guard lock(mu_);
-  stats_ = SsdStats{};
-  mirror_stats_locked();
+  m_.rebase();
 }
 
 void SsdDevice::set_telemetry(Telemetry* telemetry) {
   std::lock_guard lock(mu_);
-  if (telemetry == nullptr) {
-    m_ = StatCounters{};
-    return;
-  }
-  MetricsRegistry& reg = *telemetry->metrics();
-  m_.reads = &reg.counter("ssd.reads");
-  m_.writes = &reg.counter("ssd.writes");
-  m_.bytes_read = &reg.counter("ssd.bytes_read");
-  m_.bytes_written = &reg.counter("ssd.bytes_written");
-  m_.busy_us = &reg.counter("ssd.busy_us");
-  m_.injected_eio = &reg.counter("ssd.injected_eio");
-  m_.injected_spikes = &reg.counter("ssd.injected_spikes");
-  m_.injected_stuck = &reg.counter("ssd.injected_stuck");
-  m_.cancelled = &reg.counter("ssd.cancelled");
-  m_.pending = &reg.gauge("ssd.pending");
-  mirror_stats_locked();
+  MetricsRegistry& reg = registry_or_own(telemetry, own_registry_);
+  m_.rebind(reg);
+  m_pending_ = &reg.gauge("ssd.pending");
+  set_pending_locked();
 }
 
-void SsdDevice::mirror_stats_locked() {
-  if (m_.reads == nullptr) return;
-  m_.reads->store(stats_.reads);
-  m_.writes->store(stats_.writes);
-  m_.bytes_read->store(stats_.bytes_read);
-  m_.bytes_written->store(stats_.bytes_written);
-  m_.busy_us->store(static_cast<std::uint64_t>(stats_.busy_seconds * 1e6));
-  m_.injected_eio->store(stats_.injected_eio);
-  m_.injected_spikes->store(stats_.injected_spikes);
-  m_.injected_stuck->store(stats_.injected_stuck);
-  m_.cancelled->store(stats_.cancelled);
-  if (m_.pending != nullptr) {
-    m_.pending->set(static_cast<std::int64_t>(in_flight_));
-  }
+void SsdDevice::add_busy_locked(Duration service) {
+  busy_rest_ns_ += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(service).count());
+  m_[kBusyUs].add(busy_rest_ns_ / 1000);
+  busy_rest_ns_ %= 1000;
+}
+
+void SsdDevice::set_pending_locked() {
+  m_pending_->set(static_cast<std::int64_t>(in_flight_));
 }
 
 void SsdDevice::device_loop() {
@@ -416,9 +407,7 @@ void SsdDevice::device_loop() {
       // completion never runs) instead of blocking destruction for a year.
       pending_.pop();
       --in_flight_;
-      if (m_.pending != nullptr) {
-        m_.pending->set(static_cast<std::int64_t>(in_flight_));
-      }
+      set_pending_locked();
       if (in_flight_ == 0) drained_.notify_all();
       continue;
     }
@@ -441,9 +430,7 @@ void SsdDevice::device_loop() {
     if (req.on_complete) req.on_complete(cqe_res);
     lock.lock();
     --in_flight_;
-    if (m_.pending != nullptr) {
-      m_.pending->set(static_cast<std::int64_t>(in_flight_));
-    }
+    set_pending_locked();
     if (in_flight_ == 0) drained_.notify_all();
   }
 }

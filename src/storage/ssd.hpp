@@ -33,13 +33,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
 namespace gnndrive {
 
-class Counter;
-class Gauge;
 class Telemetry;
 
 /// Storage for the simulated drive's contents. read/write return 0 on
@@ -126,6 +125,8 @@ struct SsdFaultConfig {
   std::vector<Range> bad_ranges;
 };
 
+/// A view of the ssd.* registry counters: their growth since the device was
+/// built or last reset_stats().
 struct SsdStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -208,13 +209,18 @@ class SsdDevice : NonCopyable {
 
   const SsdConfig& config() const { return config_; }
   SsdBackend& backend() { return *backend_; }
+  /// Counts since construction or the last reset_stats(), read from the
+  /// ssd.* registry counters. reset_stats() moves the baseline; the
+  /// counters themselves never go backwards.
   SsdStats stats() const;
   void reset_stats();
 
-  /// Mirrors SsdStats into `telemetry`'s metrics registry under "ssd.*"
+  /// Counts into `telemetry`'s metrics registry from now on: "ssd.*"
   /// counters (reads, writes, bytes_read, bytes_written, busy_us,
-  /// injected_eio, injected_spikes, injected_stuck, cancelled), updated at
-  /// every submit/cancel. Pass nullptr to stop mirroring.
+  /// injected_eio, injected_spikes, injected_stuck, cancelled) and the
+  /// ssd.pending gauge. nullptr switches back to the device's private
+  /// registry. stats() carries on across the switch. `telemetry` must
+  /// outlive the device: its thread sets ssd.pending until destruction.
   void set_telemetry(Telemetry* telemetry);
 
   /// Modeled service time for a request of `len` bytes (no queueing).
@@ -237,8 +243,18 @@ class SsdDevice : NonCopyable {
   };
 
   void device_loop();
-  /// Publishes stats_ into the ssd.* counters (no-op without telemetry).
-  void mirror_stats_locked();
+  /// Adds `service` to ssd.busy_us, carrying the sub-microsecond rest.
+  void add_busy_locked(Duration service);
+  void set_pending_locked();
+
+  enum Count : std::size_t {
+    kReads, kWrites, kBytesRead, kBytesWritten, kBusyUs,
+    kInjectedEio, kInjectedSpikes, kInjectedStuck, kCancelled, kNumCounts
+  };
+  static constexpr CounterSet<kNumCounts>::Names kCountNames = {
+      "ssd.reads",           "ssd.writes",         "ssd.bytes_read",
+      "ssd.bytes_written",   "ssd.busy_us",        "ssd.injected_eio",
+      "ssd.injected_spikes", "ssd.injected_stuck", "ssd.cancelled"};
 
   const SsdConfig config_;
   std::shared_ptr<SsdBackend> backend_;
@@ -252,22 +268,14 @@ class SsdDevice : NonCopyable {
   std::size_t in_flight_ = 0;
   std::uint64_t next_token_ = 1;
   bool stop_ = false;
-  SsdStats stats_;
   std::unique_ptr<FaultInjector> injector_;  ///< null when faults are off
 
-  // Observability mirrors (all null without set_telemetry).
-  struct StatCounters {
-    Counter* reads = nullptr;
-    Counter* writes = nullptr;
-    Counter* bytes_read = nullptr;
-    Counter* bytes_written = nullptr;
-    Counter* busy_us = nullptr;
-    Counter* injected_eio = nullptr;
-    Counter* injected_spikes = nullptr;
-    Counter* injected_stuck = nullptr;
-    Counter* cancelled = nullptr;
-    Gauge* pending = nullptr;  ///< ssd.pending (device queue depth)
-  } m_;
+  // The ssd.* instruments — the only store of the device's counts — in the
+  // telemetry's registry or own_registry_; updated under mu_.
+  std::unique_ptr<MetricsRegistry> own_registry_;
+  CounterSet<kNumCounts> m_;
+  Gauge* m_pending_;  ///< ssd.pending (device queue depth)
+  std::uint64_t busy_rest_ns_ = 0;  ///< service time short of a whole us
 
   std::thread device_thread_;
 };

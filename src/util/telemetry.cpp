@@ -15,6 +15,22 @@ namespace {
 thread_local double tl_io_wait_seconds = 0.0;
 }
 
+const char* fault_counter_name(FaultCounter c) {
+  static constexpr const char* kNames[] = {
+      "fault.io_errors", "fault.io_retries", "fault.io_timeouts",
+      "fault.failed_batches"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(FaultCounter::kCount));
+  return kNames[static_cast<int>(c)];
+}
+
+MetricsRegistry& registry_or_own(Telemetry* telemetry,
+                                 std::unique_ptr<MetricsRegistry>& own) {
+  if (telemetry != nullptr) return *telemetry->metrics();
+  if (own == nullptr) own = std::make_unique<MetricsRegistry>();
+  return *own;
+}
+
 double thread_io_wait_seconds() { return tl_io_wait_seconds; }
 void add_thread_io_wait(double seconds) { tl_io_wait_seconds += seconds; }
 
@@ -31,13 +47,9 @@ Telemetry::Telemetry(double bucket_ms, std::size_t max_buckets)
   for (auto& row : cells_) {
     for (auto& cell : row) cell.store(0, std::memory_order_relaxed);
   }
-  static constexpr const char* kFaultNames[] = {
-      "fault.io_errors", "fault.io_retries", "fault.io_timeouts",
-      "fault.failed_batches"};
-  static_assert(std::size(kFaultNames) ==
-                static_cast<std::size_t>(FaultCounter::kCount));
   for (int i = 0; i < static_cast<int>(FaultCounter::kCount); ++i) {
-    fault_counters_[i] = &metrics_->counter(kFaultNames[i]);
+    fault_counters_[i] =
+        &metrics_->counter(fault_counter_name(static_cast<FaultCounter>(i)));
   }
 }
 

@@ -41,6 +41,9 @@ enum class FaultCounter : int {
   kCount = 4,
 };
 
+/// The registry counter behind `c` ("fault.io_errors", ...).
+const char* fault_counter_name(FaultCounter c);
+
 /// One activity trace. Not a singleton: each experiment owns one and wires it
 /// into the components it wants profiled. Thread-safe via atomics.
 class Telemetry {
@@ -128,6 +131,12 @@ class Telemetry {
   std::array<Counter*, static_cast<int>(FaultCounter::kCount)>
       fault_counters_{};
 };
+
+/// The registry a component counts into: `telemetry`'s, or — for a
+/// component built without telemetry — a private one created in `own`. The
+/// component's instruments are therefore never null.
+MetricsRegistry& registry_or_own(Telemetry* telemetry,
+                                 std::unique_ptr<MetricsRegistry>& own);
 
 /// Thread-local accumulator of I/O-wait seconds, so compute scopes can
 /// subtract time the thread actually spent blocked on storage.

@@ -801,10 +801,10 @@ struct ObsPlaneFixture : ::testing::Test {
   static Dataset* dataset;
 
   struct Env {
+    std::unique_ptr<Telemetry> telemetry;
     std::unique_ptr<SsdDevice> ssd;
     std::unique_ptr<HostMemory> mem;
     std::unique_ptr<PageCache> cache;
-    std::unique_ptr<Telemetry> telemetry;
     RunContext ctx;
   };
   Env make_env(const SsdConfig& ssd_cfg, std::uint64_t mem_bytes) {
@@ -860,6 +860,60 @@ TEST_F(ObsPlaneFixture, EpochPopulatesLivenessGaugesAndReport) {
       << at->latest().summary();
   // The epoch's sampler lease left a bounded time-series behind.
   EXPECT_GE(env.telemetry->sampler()->sample_count(), 2u);
+}
+
+// The registry's fb.* and serve.* counters are shared by every instance on
+// one telemetry; each instance's stats()/report() view must still count only
+// its own events.
+TEST_F(ObsPlaneFixture, SecondSystemOnAUsedContextViewsOnlyItsOwnBufferTraffic) {
+  auto env = make_env();
+  GnnDriveConfig cfg = base_config();
+  cfg.num_samplers = 1;  // deterministic triage: both runs see the same
+  cfg.num_extractors = 1;
+  FeatureBufferStats first;
+  {
+    GnnDrive system(env.ctx, cfg);
+    system.run_epoch(0);
+    first = system.feature_buffer().stats();
+  }
+  ASSERT_GT(first.loads, 0u);
+
+  GnnDrive second(env.ctx, cfg);
+  EXPECT_EQ(second.feature_buffer().stats().lookups(), 0u);
+  const EpochStats s = second.run_epoch(0);
+  const FeatureBufferStats own = second.feature_buffer().stats();
+  EXPECT_EQ(own.loads, first.loads);
+  EXPECT_EQ(own.reuse_hits, first.reuse_hits);
+  EXPECT_EQ(own.loads, s.obs.fb_loads);
+  EXPECT_EQ(second.feature_buffer().stats(FbClient::kTrain).loads, own.loads);
+  EXPECT_EQ(env.telemetry->metrics()->counter("fb.loads").value(),
+            first.loads + own.loads);
+}
+
+TEST_F(ObsPlaneFixture, SecondServeEngineOnAUsedContextReportsOnlyItsOwnRequests) {
+  auto env = make_env();
+  GnnDrive system(env.ctx, base_config());
+  ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 4;
+  cfg.slo.deadline_ms = 0.0;  // nothing shed
+  const auto serve = [&](NodeId requests) {
+    ServeEngine engine(env.ctx, cfg, system);
+    engine.start();
+    std::vector<std::future<InferResult>> futs;
+    for (NodeId v = 0; v < requests; ++v) futs.push_back(engine.submit(v));
+    for (auto& f : futs) EXPECT_EQ(f.get().status, InferStatus::kOk);
+    engine.stop();
+    return engine.report();
+  };
+  const ServeReport a = serve(6);
+  const ServeReport b = serve(4);
+  EXPECT_EQ(a.submitted, 6u);
+  EXPECT_EQ(a.completed, 6u);
+  EXPECT_EQ(b.submitted, 4u);
+  EXPECT_EQ(b.completed, 4u);
+  EXPECT_EQ(b.failed + b.rejected + b.shed_deadline, 0u);
+  EXPECT_EQ(env.telemetry->metrics()->counter("serve.completed").value(), 10u);
 }
 
 TEST_F(ObsPlaneFixture, CongestedConfigIsAttributedToTheSsd) {

@@ -298,10 +298,10 @@ struct ObsPipelineFixture : ::testing::Test {
   static Dataset* dataset;
 
   struct Env {
+    std::unique_ptr<Telemetry> telemetry;
     std::unique_ptr<SsdDevice> ssd;
     std::unique_ptr<HostMemory> mem;
     std::unique_ptr<PageCache> cache;
-    std::unique_ptr<Telemetry> telemetry;
     RunContext ctx;
   };
   Env make_env() {

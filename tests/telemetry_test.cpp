@@ -1,5 +1,5 @@
 // Telemetry details: BusyScope I/O-wait subtraction, thread-local wait
-// accounting, queue reopen, env knobs.
+// accounting, queue reopen, monotonic registry counters, env knobs.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -135,6 +135,54 @@ TEST(Telemetry, FaultCountersCountAndMirrorIntoRegistry) {
   EXPECT_EQ(reg.counter("fault.io_retries").value(), 5u);
   EXPECT_EQ(reg.counter("fault.io_timeouts").value(), 1u);
   EXPECT_EQ(reg.counter("fault.failed_batches").value(), 3u);
+}
+
+// reset_stats() moves a component's baseline, never its registry counters:
+// after it, stats() counts from zero while the registry keeps growing.
+TEST(Telemetry, SsdResetStatsLeavesRegistryCountersMonotonic) {
+  Telemetry tel;  // declared first: the device counts into it until the end
+  SsdConfig cfg;
+  cfg.read_latency_us = 5.0;
+  SsdDevice ssd(cfg, std::make_shared<MemBackend>(64 * kPageSize));
+  ssd.set_telemetry(&tel);
+  Counter& reads = tel.metrics()->counter("ssd.reads");
+  std::uint8_t buf[kPageSize];
+  for (int i = 0; i < 3; ++i) ASSERT_GE(ssd.read_sync(0, kPageSize, buf), 0);
+  EXPECT_NEAR(static_cast<double>(tel.metrics()->counter("ssd.busy_us").value()),
+              ssd.stats().busy_seconds * 1e6, 1.0);
+
+  const std::uint64_t r0 = reads.value();
+  ASSERT_EQ(r0, 3u);
+  ssd.reset_stats();
+  EXPECT_EQ(ssd.stats().reads, 0u);
+  constexpr std::uint64_t k = 5;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    ASSERT_GE(ssd.read_sync(kPageSize, kPageSize, buf), 0);
+  }
+  EXPECT_EQ(ssd.stats().reads, k);
+  EXPECT_EQ(ssd.stats().bytes_read, k * kPageSize);
+  EXPECT_EQ(reads.value(), r0 + k);
+}
+
+TEST(Telemetry, PageCacheResetStatsLeavesRegistryCountersMonotonic) {
+  Telemetry tel;
+  SsdConfig cfg;
+  cfg.read_latency_us = 5.0;
+  SsdDevice ssd(cfg, std::make_shared<MemBackend>(64 * kPageSize));
+  HostMemory mem(32 * kPageSize);
+  PageCache cache(mem, ssd, &tel);
+  Counter& hits = tel.metrics()->counter("pagecache.hits");
+  std::uint8_t buf[8];
+  cache.read(0, 8, buf);  // miss
+  cache.read(0, 8, buf);  // hit
+  const std::uint64_t r0 = hits.value();
+  ASSERT_EQ(r0, 1u);
+  cache.reset_stats();
+  constexpr std::uint64_t k = 4;
+  for (std::uint64_t i = 0; i < k; ++i) cache.read(0, 8, buf);
+  EXPECT_EQ(cache.stats().hits, k);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(hits.value(), r0 + k);
 }
 
 TEST(EnvKnobs, DefaultsAndParsing) {
