@@ -1,14 +1,17 @@
 // Google-benchmark microbenchmarks for GNNDrive's core data structures:
-// the feature-buffer manager, the pipeline queue, the neighbor sampler and
-// the NN kernels. These quantify that the buffer-management overhead the
-// paper's Fig. 12 discussion mentions ("a larger feature buffer incurs more
-// overhead in management, such as updating the standby list") stays in the
-// nanosecond range.
+// the feature-buffer manager, the pipeline queue, the I/O ring over the
+// SSD model, the copy engine, the neighbor sampler and the NN kernels.
+// These quantify that the buffer-management overhead the paper's Fig. 12
+// discussion mentions ("a larger feature buffer incurs more overhead in
+// management, such as updating the standby list") stays in the nanosecond
+// range, and give the substrate's per-SQE and per-row host cost.
 #include <benchmark/benchmark.h>
 
+#include "aio/io_ring.hpp"
 #include "core/evaluate.hpp"
 #include "core/feature_buffer.hpp"
 #include "gnn/model.hpp"
+#include "gpu/gpu.hpp"
 #include "graph/dataset.hpp"
 #include "sampling/sampler.hpp"
 #include "util/queue.hpp"
@@ -74,6 +77,61 @@ void BM_BoundedQueuePingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BoundedQueuePingPong);
+
+// Host cost of one ring round trip: stage `range(0)` 512 B reads, submit
+// them, reap every CQE. The device model is near-instant (1 us base
+// latency, 32 channels), so the time is the ring's and the device thread's.
+void BM_IoRingSubmitReap(benchmark::State& state) {
+  const auto depth = static_cast<unsigned>(state.range(0));
+  SsdConfig cfg;
+  cfg.read_latency_us = 1.0;
+  cfg.bandwidth_mb_s = 1e6;
+  cfg.channels = 32;
+  SsdDevice ssd(cfg, std::make_shared<MemBackend>(depth * kSectorSize));
+  IoRing ring(ssd, {.queue_depth = depth, .direct = true});
+  std::vector<std::uint8_t> buf(depth * kSectorSize);
+  std::vector<Cqe> cqes;
+  cqes.reserve(depth);
+  for (auto _ : state) {
+    for (unsigned i = 0; i < depth; ++i) {
+      ring.prep_read(i * kSectorSize, kSectorSize,
+                     buf.data() + i * kSectorSize, i);
+    }
+    ring.submit();
+    cqes.clear();
+    while (cqes.size() < depth) {
+      cqes.push_back(ring.wait_cqe());
+      ring.peek_cqes(cqes);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * depth);
+}
+BENCHMARK(BM_IoRingSubmitReap)->Arg(1)->Arg(32);
+
+// Host cost of one segment's scatter copy of `range(0)` 512 B rows into
+// scattered feature-buffer rows, through completion (zero modeled time).
+void BM_GpuScatterCopy(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRowBytes = 512;
+  GpuConfig cfg;
+  cfg.pcie_bandwidth_mb_s = 1e9;
+  cfg.copy_overhead_us = 0.0;
+  GpuDevice gpu(cfg);
+  std::vector<std::uint8_t> src(rows * kRowBytes, 0x5A);
+  std::vector<std::uint8_t> dst(4 * rows * kRowBytes);
+  for (auto _ : state) {
+    std::vector<GpuDevice::H2dPart> parts;
+    parts.reserve(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      parts.push_back({dst.data() + 4 * r * kRowBytes,
+                       src.data() + r * kRowBytes, kRowBytes});
+    }
+    gpu.memcpy_h2d_scatter_async(std::move(parts), [] {});
+    gpu.sync();
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_GpuScatterCopy)->Arg(1)->Arg(16);
 
 const Dataset& bench_dataset() {
   static Dataset ds = Dataset::build(toy_spec(64));

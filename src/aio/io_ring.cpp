@@ -29,7 +29,7 @@ IoRing::IoRing(SsdDevice& ssd, IoRingConfig config, PageCache* cache,
 IoRing::~IoRing() {
   // Device completions capture `this`; wait for them before tearing down.
   std::unique_lock lock(mu_);
-  all_done_.wait(lock, [&] { return in_flight_ == 0 && draining_ == 0; });
+  all_done_.wait(lock, [&] { return in_flight_ == 0; });
 }
 
 bool IoRing::prep_read(std::uint64_t offset, std::uint32_t len, void* buf,
@@ -48,90 +48,100 @@ bool IoRing::prep_write(std::uint64_t offset, std::uint32_t len,
 }
 
 void IoRing::complete(std::uint64_t ring_id, std::int32_t res) {
-  std::uint64_t user_data;
-  TimePoint submitted_at;
-  {
-    std::lock_guard lock(mu_);
-    auto it = inflight_.find(ring_id);
-    if (it == inflight_.end()) return;  // cancelled by the watchdog
-    user_data = it->second.user_data;
-    submitted_at = it->second.submitted_at;
-    inflight_.erase(it);
-    cq_.push_back(Cqe{user_data, res});
-    --in_flight_;
-    ++draining_;  // holds the destructor open past the touches below
-  }
+  const TimePoint now = Clock::now();
+  // One lock hold per completion. in_flight_ == 0 releases the destructor,
+  // so this hold is the thread's last touch of the ring, and both notifies
+  // stay under it: a woken waiter cannot destroy the condvars mid-notify.
+  std::lock_guard lock(mu_);
+  auto it = inflight_.find(ring_id);
+  if (it == inflight_.end()) return;  // cancelled by the watchdog
   m_latency_->add_us(
-      std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)
+      std::chrono::duration<double, std::micro>(now - it->second.submitted_at)
           .count());
   m_inflight_->sub(1);
   if (res < 0) m_io_errors_->add();
-  // draining_ == 0 releases the destructor, so the decrement must be this
-  // thread's last touch of the ring — and both notifies stay under the lock
-  // so a woken waiter cannot destroy the condvars mid-notify.
-  std::lock_guard lock(mu_);
-  cq_ready_.notify_one();
-  --draining_;
-  if (in_flight_ == 0 && draining_ == 0) all_done_.notify_all();
+  // One thread reaps, and it checks the queue under mu_ before it waits,
+  // so only the empty -> non-empty edge can find it waiting.
+  if (cq_.empty()) cq_ready_.notify_one();
+  cq_.push_back(Cqe{it->second.user_data, res});
+  inflight_.erase(it);
+  if (--in_flight_ == 0) all_done_.notify_all();
 }
 
-void IoRing::submit_one(const Sqe& sqe) {
-  std::uint64_t ring_id;
-  {
-    std::lock_guard lock(mu_);
-    ring_id = next_ring_id_++;
-    inflight_[ring_id] = InFlight{sqe.user_data, 0, Clock::now()};
-  }
+std::int32_t IoRing::validate(const Sqe& sqe) const {
+  // O_DIRECT alignment violation: fail the request like the kernel would,
+  // without touching the device.
   if (config_.direct &&
       (sqe.offset % kSectorSize != 0 || sqe.len % kSectorSize != 0)) {
-    // O_DIRECT alignment violation: fail the request like the kernel would,
-    // without touching the device.
-    complete(ring_id, -EINVAL);
-    return;
+    return -EINVAL;
   }
+  // Degenerate or oversized request (a coalescing-planner bug would show
+  // up here): fail it before it can overrun the caller's buffer.
   if (sqe.len == 0 || (config_.max_transfer_bytes != 0 &&
                        sqe.len > config_.max_transfer_bytes)) {
-    // Degenerate or oversized request (a coalescing-planner bug would show
-    // up here): fail it before it can overrun the caller's buffer.
-    complete(ring_id, -EINVAL);
-    return;
+    return -EINVAL;
   }
-  if (!config_.direct && sqe.op == SsdDevice::Op::kRead &&
-      cache_->try_read_resident(sqe.offset, sqe.len, sqe.buf)) {
-    // Buffered read fully served by the page cache: completes immediately.
-    complete(ring_id, static_cast<std::int32_t>(sqe.len));
-    return;
-  }
-  const bool buffered = !config_.direct;
-  const auto offset = sqe.offset;
-  const auto len = sqe.len;
-  const std::uint64_t token = ssd_.submit(
-      sqe.op, sqe.offset, sqe.len, sqe.buf,
-      [this, buffered, offset, len, ring_id](std::int32_t res) {
-        if (buffered && res >= 0) cache_->note_resident(offset, len);
-        complete(ring_id, res);
-      });
-  {
-    // The completion may already have fired and erased the entry; only a
-    // still-live entry learns its device token (needed for cancellation).
-    std::lock_guard lock(mu_);
-    auto it = inflight_.find(ring_id);
-    if (it != inflight_.end()) it->second.device_token = token;
-  }
+  return 0;
 }
 
 unsigned IoRing::submit() {
   const unsigned n = static_cast<unsigned>(staged_.size());
+  if (n == 0) return 0;
+  m_submitted_->add(n);
+  m_inflight_->add(n);
+  const TimePoint now = Clock::now();
+  std::uint64_t first_id;
   {
     std::lock_guard lock(mu_);
     in_flight_ += n;
+    first_id = next_ring_id_;
+    next_ring_id_ += n;
+    for (unsigned i = 0; i < n; ++i) {
+      inflight_.emplace(first_id + i, InFlight{staged_[i].user_data, 0, now});
+    }
   }
-  if (n > 0) {
-    m_submitted_->add(n);
-    m_inflight_->add(n);
+  batch_.clear();
+  batch_ids_.clear();
+  const bool buffered = !config_.direct;
+  for (unsigned i = 0; i < n; ++i) {
+    const Sqe& sqe = staged_[i];
+    const std::uint64_t ring_id = first_id + i;
+    if (const std::int32_t err = validate(sqe); err < 0) {
+      complete(ring_id, err);
+      continue;
+    }
+    if (buffered && sqe.op == SsdDevice::Op::kRead &&
+        cache_->try_read_resident(sqe.offset, sqe.len, sqe.buf)) {
+      // Buffered read fully served by the page cache: completes immediately.
+      complete(ring_id, static_cast<std::int32_t>(sqe.len));
+      continue;
+    }
+    SsdDevice::Completion done;
+    if (buffered) {
+      done = [this, offset = sqe.offset, len = sqe.len,
+              ring_id](std::int32_t res) {
+        if (res >= 0) cache_->note_resident(offset, len);
+        complete(ring_id, res);
+      };
+    } else {
+      // Small enough for std::function's inline storage: no allocation.
+      done = [this, ring_id](std::int32_t res) { complete(ring_id, res); };
+    }
+    batch_.push_back(
+        SsdDevice::Request{sqe.op, sqe.offset, sqe.len, sqe.buf,
+                           std::move(done)});
+    batch_ids_.push_back(ring_id);
   }
-  for (const Sqe& sqe : staged_) submit_one(sqe);
   staged_.clear();
+  if (batch_.empty()) return n;
+  ssd_.submit_batch(batch_);
+  // Completions may already have fired and erased their entries; only the
+  // still-live ones learn their device token (needed for cancellation).
+  std::lock_guard lock(mu_);
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    auto it = inflight_.find(batch_ids_[i]);
+    if (it != inflight_.end()) it->second.device_token = batch_[i].token;
+  }
   return n;
 }
 
@@ -161,7 +171,7 @@ unsigned IoRing::cancel_expired(Duration timeout) {
       cq_.push_back(Cqe{it->second.user_data, -ETIMEDOUT});
       inflight_.erase(it);
       --in_flight_;
-      if (in_flight_ == 0 && draining_ == 0) all_done_.notify_all();
+      if (in_flight_ == 0) all_done_.notify_all();
     }
     m_latency_->add_us(
         std::chrono::duration<double, std::micro>(Clock::now() - submitted_at)
@@ -181,6 +191,14 @@ std::optional<Cqe> IoRing::peek_cqe() {
   Cqe cqe = cq_.front();
   cq_.pop_front();
   return cqe;
+}
+
+unsigned IoRing::peek_cqes(std::vector<Cqe>& out) {
+  std::lock_guard lock(mu_);
+  const auto n = static_cast<unsigned>(cq_.size());
+  out.insert(out.end(), cq_.begin(), cq_.end());
+  cq_.clear();
+  return n;
 }
 
 Cqe IoRing::wait_cqe() {

@@ -70,11 +70,17 @@ class IoRing : NonCopyable {
   bool prep_write(std::uint64_t offset, std::uint32_t len, const void* buf,
                   std::uint64_t user_data);
 
-  /// Submits all staged SQEs to the device; returns how many were submitted.
+  /// Submits all staged SQEs; returns how many were submitted. The batch
+  /// takes ring ids under one ring-lock acquisition and reaches the device
+  /// in one SsdDevice::submit_batch call.
   unsigned submit();
 
   /// Non-blocking CQE reap.
   std::optional<Cqe> peek_cqe();
+
+  /// Non-blocking batch reap (io_uring_peek_batch_cqe): appends every
+  /// available CQE to `out` under one lock acquisition; returns how many.
+  unsigned peek_cqes(std::vector<Cqe>& out);
 
   /// Blocking CQE reap; the wait is attributed to TraceCat::kIoWait.
   Cqe wait_cqe();
@@ -110,8 +116,11 @@ class IoRing : NonCopyable {
     TimePoint submitted_at;
   };
 
+  /// Posts the CQE of request `ring_id` unless the watchdog cancelled it.
   void complete(std::uint64_t ring_id, std::int32_t res);
-  void submit_one(const Sqe& sqe);
+  /// -EINVAL for an SQE the ring refuses before it reaches the device
+  /// (O_DIRECT misalignment, zero length, over max_transfer_bytes); else 0.
+  std::int32_t validate(const Sqe& sqe) const;
 
   SsdDevice& ssd_;
   const IoRingConfig config_;
@@ -119,6 +128,9 @@ class IoRing : NonCopyable {
   Telemetry* telemetry_;  ///< I/O-wait tracing only; may be null
 
   std::vector<Sqe> staged_;
+  // submit() scratch, reused across calls (one thread drives the ring).
+  std::vector<SsdDevice::Request> batch_;
+  std::vector<std::uint64_t> batch_ids_;  ///< ring id of batch_[i]
 
   mutable std::mutex mu_;
   std::condition_variable cq_ready_;
@@ -127,7 +139,6 @@ class IoRing : NonCopyable {
   std::unordered_map<std::uint64_t, InFlight> inflight_;  ///< by ring id
   std::uint64_t next_ring_id_ = 1;
   unsigned in_flight_ = 0;
-  unsigned draining_ = 0;  ///< device callbacks still inside complete()
 
   // Instruments, from the telemetry's registry or own_registry_. Multiple
   // rings share them: counters/histograms aggregate, the in-flight gauge is

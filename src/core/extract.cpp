@@ -212,6 +212,15 @@ bool extract_load_set(SampledBatch& batch,
   const bool async_copy = env.gpu != nullptr && !env.device_staging;
   const std::size_t n_seg = plan.segments.size();
 
+  // Node and slot of every planned row, in plan order: each segment's rows
+  // are one contiguous range, so a segment (or a run of them) allocates,
+  // marks valid and fails as one span.
+  std::vector<NodeId> row_node(plan.rows.size());
+  std::vector<SlotId> row_slot(plan.rows.size(), kNoSlot);
+  for (std::size_t r = 0; r < plan.rows.size(); ++r) {
+    row_node[r] = batch.nodes[load_idx[plan.rows[r].load_pos]];
+  }
+
   // Staging rows recycle through this tracker; GPU scatter callbacks touch
   // it from the DMA thread, so every field mutation happens under `m` and
   // notifications stay under the lock (the waiter owns this stack frame and
@@ -220,13 +229,11 @@ bool extract_load_set(SampledBatch& batch,
     std::mutex m;
     std::condition_variable cv;
     std::vector<unsigned> free_rows;
-    std::vector<std::uint32_t> rows_left;  ///< pending scatters per segment
-    std::size_t transfers_done = 0;
+    std::size_t copies_done = 0;  ///< finished segment scatter copies
   } tracker;
   for (unsigned r = 0; r < env.staging_rows; ++r) {
     tracker.free_rows.push_back(r);
   }
-  tracker.rows_left.resize(n_seg, 0);
 
   std::vector<unsigned> row_of(n_seg, 0);
   std::vector<std::uint32_t> attempts(n_seg, 0);
@@ -235,27 +242,35 @@ bool extract_load_set(SampledBatch& batch,
     std::size_t s;
   };
   std::vector<RetryEntry> retries;  // segments sitting out a backoff delay
+  std::vector<Cqe> cqes;            // one reap's completions
 
-  std::size_t submitted = 0;
-  std::size_t resolved = 0;  // segments that reached a terminal state
-  std::size_t inflight = 0;
-  std::size_t transfers_started = 0;  // row scatters handed to the GPU/CPU
+  std::size_t submitted = 0;  // segments that took a staging row and slots
+  std::size_t resolved = 0;   // segments that reached a terminal state
+  std::size_t staged = 0;     // reads prepared since the last ring submit
+  std::size_t inflight = 0;   // reads submitted and not yet reaped
+  std::size_t copies_started = 0;  // segment scatter copies handed to the GPU
   bool failed = false;
 
-  // Scratch reused per segment for the batched slot allocation.
-  std::vector<NodeId> seg_nodes;
-  std::vector<SlotId> seg_slots;
-
-  const auto submit_segment = [&](std::size_t s) {
+  const auto submit_staged = [&] {
+    if (staged == 0) return;
+    const TimePoint t = tracing ? Clock::now() : TimePoint{};
+    env.ring->submit();
+    inflight += staged;
+    staged = 0;
+    if (tracing) trace->submit_ns += elapsed_ns(t, Clock::now());
+  };
+  const auto stage_segment = [&](std::size_t s) {
     const TimePoint t = tracing ? Clock::now() : TimePoint{};
     const SegmentPlan::Segment& seg = plan.segments[s];
     GD_CHECK(seg.len <= env.staging_row_bytes);
     std::uint8_t* dst =
         env.staging_base +
         static_cast<std::uint64_t>(row_of[s]) * env.staging_row_bytes;
-    env.ring->prep_read(seg.base, seg.len, dst, s);
-    env.ring->submit();
-    ++inflight;
+    if (!env.ring->prep_read(seg.base, seg.len, dst, s)) {
+      submit_staged();  // submission queue full
+      GD_CHECK(env.ring->prep_read(seg.base, seg.len, dst, s));
+    }
+    ++staged;
     if (tracing) trace->submit_ns += elapsed_ns(t, Clock::now());
   };
   const auto free_row = [&](unsigned row) {
@@ -270,7 +285,7 @@ bool extract_load_set(SampledBatch& batch,
     const SegmentPlan::Segment& seg = plan.segments[s];
     for (std::uint32_t r = seg.first_row; r < seg.first_row + seg.num_rows;
          ++r) {
-      fb.mark_failed(batch.nodes[load_idx[plan.rows[r].load_pos]]);
+      fb.mark_failed(row_node[r]);
     }
     ++resolved;
   };
@@ -286,14 +301,159 @@ bool extract_load_set(SampledBatch& batch,
     }
     retries.clear();
   };
+  // Every pending segment that gets a free staging row is staged. The
+  // round's slots come from one buffer-lock take that never blocks; if the
+  // standby list runs dry, the reads staged so far are submitted before the
+  // rest allocate segment by segment, blocking like allocate_slot.
+  const auto top_up = [&] {
+    const std::size_t s0 = submitted;
+    std::size_t k = 0;
+    {
+      std::lock_guard lk(tracker.m);
+      k = std::min(tracker.free_rows.size(), n_seg - s0);
+      for (std::size_t i = 0; i < k; ++i) {
+        row_of[s0 + i] = tracker.free_rows.back();
+        tracker.free_rows.pop_back();
+      }
+    }
+    if (k == 0) return;
+    hooks.staging_in_use->add(static_cast<std::int64_t>(k));
+    submitted += k;
+    const std::uint32_t r0 = plan.segments[s0].first_row;
+    const SegmentPlan::Segment& last = plan.segments[s0 + k - 1];
+    const std::uint32_t r1 = last.first_row + last.num_rows;
+    std::size_t got =
+        r0 + fb.allocate_slots(&row_node[r0], r1 - r0, &row_slot[r0],
+                               /*wait=*/false);
+    for (std::size_t s = s0; s < s0 + k; ++s) {
+      const SegmentPlan::Segment& seg = plan.segments[s];
+      const std::uint32_t end = seg.first_row + seg.num_rows;
+      if (got < end) {
+        submit_staged();
+        fb.allocate_slots(&row_node[got], end - got, &row_slot[got]);
+        got = end;
+      }
+      for (std::uint32_t r = seg.first_row; r < end; ++r) {
+        batch.alias[load_idx[plan.rows[r].load_pos]] = row_slot[r];
+      }
+      ++counters.segments;
+      counters.rows_loaded += seg.num_rows;
+      hooks.segments->add();
+      hooks.rows->add(seg.num_rows);
+      hooks.rows_per_read->add_us(static_cast<double>(seg.num_rows));
+      stage_segment(s);
+    }
+  };
+  // A read landed in staging row `row_of[s]`: move its rows into their
+  // slots, mark them valid and recycle the row.
+  const auto scatter_segment = [&](std::size_t s) {
+    const SegmentPlan::Segment& seg = plan.segments[s];
+    const unsigned row = row_of[s];
+    const std::uint8_t* const row_base =
+        env.staging_base +
+        static_cast<std::uint64_t>(row) * env.staging_row_bytes;
+    const std::span<const NodeId> nodes(&row_node[seg.first_row],
+                                        seg.num_rows);
+    if (async_copy) {
+      // One copy-engine job per segment; its callback validates every row
+      // under one buffer lock, then the staging row recycles.
+      std::vector<GpuDevice::H2dPart> parts;
+      parts.reserve(seg.num_rows);
+      for (std::uint32_t r = seg.first_row; r < seg.first_row + seg.num_rows;
+           ++r) {
+        parts.push_back({fb.slot_data(row_slot[r]),
+                         row_base + plan.rows[r].seg_offset, row_bytes});
+      }
+      ++copies_started;
+      env.gpu->memcpy_h2d_scatter_async(
+          std::move(parts), [&fb, &tracker, nodes, row,
+                             g_staging = hooks.staging_in_use] {
+            fb.mark_valid(nodes);
+            std::lock_guard lk(tracker.m);
+            ++tracker.copies_done;
+            tracker.free_rows.push_back(row);
+            g_staging->sub(1);
+            tracker.cv.notify_all();
+          });
+      return;
+    }
+    // CPU training/serving copies each row from host staging into the
+    // host-resident buffer; GDS copies the whole segment out of the
+    // device bounce row in one kernel. Then the staging row recycles.
+    const auto scatter = [&] {
+      for (std::uint32_t r = seg.first_row; r < seg.first_row + seg.num_rows;
+           ++r) {
+        std::memcpy(fb.slot_data(row_slot[r]),
+                    row_base + plan.rows[r].seg_offset, row_bytes);
+      }
+    };
+    if (env.device_staging) {
+      env.gpu->launch(scatter);
+    } else {
+      scatter();
+    }
+    fb.mark_valid(nodes);
+    std::lock_guard lk(tracker.m);
+    tracker.free_rows.push_back(row);
+    hooks.staging_in_use->sub(1);
+  };
+  // One reaped completion: scatter, retry or fail its segment.
+  const auto handle_cqe = [&](const Cqe& cqe) {
+    --inflight;
+    const std::size_t s = cqe.user_data;
+    const SegmentPlan::Segment& seg = plan.segments[s];
+    if (cqe.res >= 0) {
+      if (attempts[s] > 0) ++counters.io_recovered;
+      ++resolved;
+      scatter_segment(s);
+      return;
+    }
+    ++counters.io_errors;
+    if (cqe.res == -ETIMEDOUT) ++counters.io_timeouts;
+    if (!failed && transient_error(cqe.res) &&
+        attempts[s] < policy.max_retries) {
+      ++attempts[s];
+      ++counters.io_retries;
+      hooks.io_retries->add();
+      const Duration delay =
+          policy.backoff ? policy.backoff(attempts[s]) : Duration::zero();
+      if (delay <= Duration::zero()) {
+        stage_segment(s);  // keeps its staging row
+      } else {
+        retries.push_back({Clock::now() + delay, s});
+      }
+      return;
+    }
+    if (!failed) {
+      const NodeId first = row_node[seg.first_row];
+      if (policy.log_epoch) {
+        log_structured(LogLevel::kWarn, policy.fail_event,
+                       {kv("batch", policy.batch_id),
+                        kv("epoch", policy.epoch), kv("node", first),
+                        kv("seg_rows", seg.num_rows), kv("res", cqe.res),
+                        kv("attempts", attempts[s])});
+      } else {
+        log_structured(LogLevel::kWarn, policy.fail_event,
+                       {kv("batch", policy.batch_id), kv("node", first),
+                        kv("seg_rows", seg.num_rows), kv("res", cqe.res),
+                        kv("attempts", attempts[s])});
+      }
+    }
+    fail_segment(s);
+    free_row(row_of[s]);
+    if (!failed) {
+      failed = true;
+      fail_pending();
+    }
+  };
 
   while (resolved < n_seg) {
-    // Resubmit retries whose backoff elapsed (they keep their rows).
+    // Stage retries whose backoff elapsed (they keep their rows).
     if (!retries.empty()) {
       const TimePoint now = Clock::now();
       for (std::size_t k = 0; k < retries.size();) {
         if (retries[k].due <= now) {
-          submit_segment(retries[k].s);
+          stage_segment(retries[k].s);
           retries[k] = retries.back();
           retries.pop_back();
         } else {
@@ -301,43 +461,8 @@ bool extract_load_set(SampledBatch& batch,
         }
       }
     }
-    // Top up submissions while staging rows are free.
-    while (!failed && submitted < n_seg) {
-      unsigned row;
-      {
-        std::lock_guard lk(tracker.m);
-        if (tracker.free_rows.empty()) break;
-        row = tracker.free_rows.back();
-        tracker.free_rows.pop_back();
-      }
-      hooks.staging_in_use->add(1);
-      const std::size_t s = submitted++;
-      row_of[s] = row;
-      const SegmentPlan::Segment& seg = plan.segments[s];
-      // One buffer-lock take allocates every slot of the segment; may block
-      // on the standby list exactly like per-node allocate_slot did.
-      seg_nodes.clear();
-      for (std::uint32_t r = seg.first_row;
-           r < seg.first_row + seg.num_rows; ++r) {
-        seg_nodes.push_back(batch.nodes[load_idx[plan.rows[r].load_pos]]);
-      }
-      seg_slots.resize(seg_nodes.size());
-      fb.allocate_slots(seg_nodes.data(), seg_nodes.size(), seg_slots.data());
-      for (std::uint32_t r = 0; r < seg.num_rows; ++r) {
-        batch.alias[load_idx[plan.rows[seg.first_row + r].load_pos]] =
-            seg_slots[r];
-      }
-      ++counters.segments;
-      counters.rows_loaded += seg.num_rows;
-      hooks.segments->add();
-      hooks.rows->add(seg.num_rows);
-      hooks.rows_per_read->add_us(static_cast<double>(seg.num_rows));
-      submit_segment(s);
-    }
-    if (failed && submitted < n_seg) {
-      fail_pending();
-      continue;
-    }
+    if (!failed && submitted < n_seg) top_up();
+    submit_staged();
     if (inflight == 0) {
       if (resolved == n_seg) break;
       if (!retries.empty()) {
@@ -365,10 +490,10 @@ bool extract_load_set(SampledBatch& batch,
       if (tracing) trace->copy_wait_ns += elapsed_ns(tw, Clock::now());
       continue;
     }
-    // Reap one segment; on success its rows scatter immediately and overlap
-    // the loading of the next segments. The watchdog turns overdue requests
-    // into -ETIMEDOUT completions so a stuck device can never wedge this
-    // loop.
+    // Wait for one completion, then reap every available one before the
+    // next top-up; successful segments scatter at once and overlap the
+    // loading of the next ones. The watchdog turns overdue requests into
+    // -ETIMEDOUT completions so a stuck device can never wedge this loop.
     const TimePoint tw = tracing ? Clock::now() : TimePoint{};
     const auto cqe_opt = env.ring->wait_cqe_for(policy.poll);
     if (tracing) trace->ssd_wait_ns += elapsed_ns(tw, Clock::now());
@@ -376,121 +501,18 @@ bool extract_load_set(SampledBatch& batch,
       env.ring->cancel_expired(policy.request_timeout);
       continue;
     }
-    --inflight;
-    const std::size_t s = cqe_opt->user_data;
-    const SegmentPlan::Segment& seg = plan.segments[s];
-    if (cqe_opt->res < 0) {
-      ++counters.io_errors;
-      if (cqe_opt->res == -ETIMEDOUT) ++counters.io_timeouts;
-      if (!failed && transient_error(cqe_opt->res) &&
-          attempts[s] < policy.max_retries) {
-        ++attempts[s];
-        ++counters.io_retries;
-        hooks.io_retries->add();
-        const Duration delay =
-            policy.backoff ? policy.backoff(attempts[s]) : Duration::zero();
-        if (delay <= Duration::zero()) {
-          submit_segment(s);  // keeps its staging row
-        } else {
-          retries.push_back({Clock::now() + delay, s});
-        }
-        continue;
-      }
-      if (!failed) {
-        const NodeId first =
-            batch.nodes[load_idx[plan.rows[seg.first_row].load_pos]];
-        if (policy.log_epoch) {
-          log_structured(LogLevel::kWarn, policy.fail_event,
-                         {kv("batch", policy.batch_id),
-                          kv("epoch", policy.epoch), kv("node", first),
-                          kv("seg_rows", seg.num_rows),
-                          kv("res", cqe_opt->res),
-                          kv("attempts", attempts[s])});
-        } else {
-          log_structured(LogLevel::kWarn, policy.fail_event,
-                         {kv("batch", policy.batch_id), kv("node", first),
-                          kv("seg_rows", seg.num_rows),
-                          kv("res", cqe_opt->res),
-                          kv("attempts", attempts[s])});
-        }
-      }
-      fail_segment(s);
-      free_row(row_of[s]);
-      if (!failed) {
-        failed = true;
-        fail_pending();
-      }
-      continue;
-    }
-    if (attempts[s] > 0) ++counters.io_recovered;
-    ++resolved;
-    const unsigned row = row_of[s];
-    std::uint8_t* const row_base =
-        env.staging_base +
-        static_cast<std::uint64_t>(row) * env.staging_row_bytes;
-    if (async_copy) {
-      {
-        std::lock_guard lk(tracker.m);
-        tracker.rows_left[s] = seg.num_rows;
-      }
-      transfers_started += seg.num_rows;
-      for (std::uint32_t r = seg.first_row;
-           r < seg.first_row + seg.num_rows; ++r) {
-        const NodeId node = batch.nodes[load_idx[plan.rows[r].load_pos]];
-        const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-        const std::uint8_t* src = row_base + plan.rows[r].seg_offset;
-        env.gpu->memcpy_h2d_async(
-            fb.slot_data(slot), src, row_bytes,
-            [&fb, &tracker, node, row, s,
-             g_staging = hooks.staging_in_use] {
-              fb.mark_valid(node);
-              std::lock_guard lk(tracker.m);
-              ++tracker.transfers_done;
-              // The staging row recycles only after every row of its
-              // segment has left it.
-              if (--tracker.rows_left[s] == 0) {
-                tracker.free_rows.push_back(row);
-                g_staging->sub(1);
-              }
-              tracker.cv.notify_all();
-            });
-      }
-    } else {
-      // CPU training/serving copies each row from host staging into the
-      // host-resident buffer; GDS copies the whole segment out of the
-      // device bounce row in one kernel. Then the staging row recycles.
-      const auto scatter = [&] {
-        for (std::uint32_t r = seg.first_row;
-             r < seg.first_row + seg.num_rows; ++r) {
-          const SlotId slot = batch.alias[load_idx[plan.rows[r].load_pos]];
-          std::memcpy(fb.slot_data(slot), row_base + plan.rows[r].seg_offset,
-                      row_bytes);
-        }
-      };
-      if (env.device_staging) {
-        env.gpu->launch(scatter);
-      } else {
-        scatter();
-      }
-      for (std::uint32_t r = seg.first_row;
-           r < seg.first_row + seg.num_rows; ++r) {
-        fb.mark_valid(batch.nodes[load_idx[plan.rows[r].load_pos]]);
-      }
-      transfers_started += seg.num_rows;
-      std::lock_guard lk(tracker.m);
-      tracker.transfers_done += seg.num_rows;
-      tracker.free_rows.push_back(row);
-      hooks.staging_in_use->sub(1);
-    }
+    cqes.assign(1, *cqe_opt);
+    env.ring->peek_cqes(cqes);
+    for (const Cqe& cqe : cqes) handle_cqe(cqe);
   }
 
   // Always drain transfers — their callbacks touch this stack frame.
-  if (async_copy && transfers_started > 0) {
+  if (copies_started > 0) {
     ScopedTrace st(env.telemetry, TraceCat::kIoWait);
     const TimePoint tw = tracing ? Clock::now() : TimePoint{};
     std::unique_lock lk(tracker.m);
-    tracker.cv.wait(
-        lk, [&] { return tracker.transfers_done == transfers_started; });
+    tracker.cv.wait(lk,
+                    [&] { return tracker.copies_done == copies_started; });
     if (tracing) trace->copy_wait_ns += elapsed_ns(tw, Clock::now());
   }
   return !failed;

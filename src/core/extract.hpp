@@ -15,8 +15,8 @@
 //      small gaps (`max_gap_bytes` — reading a few wasted sectors is far
 //      cheaper than a second request under the base-latency cost model),
 //   3. issue one read per segment and, on completion, scatter each contained
-//      row into its feature-buffer slot (one H2D per row on GPU, memcpy on
-//      CPU).
+//      row into its feature-buffer slot (one scatter-copy job per segment
+//      on GPU, memcpy on CPU).
 //
 // Per-segment failure granularity preserves the fault-tolerance contract:
 // a transient error retries the whole segment (keeping its staging row); an
@@ -207,9 +207,11 @@ void triage_batch(FeatureBuffer& fb, SampledBatch& batch,
                   FbClient client = FbClient::kTrain);
 
 /// Algorithm 1 pass 2 over `load_idx`: plan segments, allocate slots
-/// (batched, one lock take per segment), submit asynchronous reads, scatter
-/// completed rows into the feature buffer, retry transient failures per
-/// segment, and drain all transfers before returning. Returns false when
+/// (one non-blocking lock take per top-up round), submit asynchronous reads
+/// (one ring submit per round), reap every available completion at once,
+/// scatter completed rows into the feature buffer (one copy job and one
+/// buffer-lock take per segment), retry transient failures per segment,
+/// and drain all transfers before returning. Returns false when
 /// the batch failed permanently — every node of `load_idx` is then resolved
 /// (valid or failed) and the caller still owns releasing all references.
 bool extract_load_set(SampledBatch& batch,

@@ -122,13 +122,15 @@ SlotId FeatureBuffer::allocate_slot(NodeId node) {
   return allocate_slot_locked(lock, node);
 }
 
-void FeatureBuffer::allocate_slots(const NodeId* nodes, std::size_t n,
-                                   SlotId* out) {
+std::size_t FeatureBuffer::allocate_slots(const NodeId* nodes, std::size_t n,
+                                          SlotId* out, bool wait) {
   std::unique_lock lock(mu_);
   m_[kBatchLocks].add();
   for (std::size_t i = 0; i < n; ++i) {
+    if (!wait && standby_.empty()) return i;
     out[i] = allocate_slot_locked(lock, nodes[i]);
   }
+  return n;
 }
 
 SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
@@ -156,12 +158,14 @@ SlotId FeatureBuffer::allocate_slot_locked(std::unique_lock<std::mutex>& lock,
   return e.slot;
 }
 
-void FeatureBuffer::mark_valid(NodeId node) {
+void FeatureBuffer::mark_valid(std::span<const NodeId> nodes) {
   {
     std::lock_guard lock(mu_);
-    Entry& e = map_[node];
-    GD_CHECK_MSG(e.slot != kNoSlot, "mark_valid without a slot");
-    e.valid = true;
+    for (const NodeId node : nodes) {
+      Entry& e = map_[node];
+      GD_CHECK_MSG(e.slot != kNoSlot, "mark_valid without a slot");
+      e.valid = true;
+    }
   }
   became_valid_.notify_all();
 }

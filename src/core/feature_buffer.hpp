@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -137,14 +138,23 @@ class FeatureBuffer : NonCopyable {
   SlotId allocate_slot(NodeId node);
 
   /// Pass 2 for a group of kMustLoad nodes under (at minimum) a single
-  /// mutex acquisition; writes each node's slot to `out[0..n)`. Blocking
-  /// semantics match n sequential allocate_slot calls — the wait happens
-  /// per node as the standby list drains, so the deadlock-freedom argument
-  /// (num_slots >= Ne x Mb) is unchanged.
-  void allocate_slots(const NodeId* nodes, std::size_t n, SlotId* out);
+  /// mutex acquisition; writes each node's slot to `out[0..n)` and returns
+  /// how many nodes got one. With `wait`, blocking semantics match n
+  /// sequential allocate_slot calls — the wait happens per node as the
+  /// standby list drains, so the deadlock-freedom argument
+  /// (num_slots >= Ne x Mb) is unchanged — and all n are allocated.
+  /// Without it, allocation stops at the first node the standby list cannot
+  /// serve (one lock take, never blocks); nodes[result..n) keep no slot.
+  std::size_t allocate_slots(const NodeId* nodes, std::size_t n, SlotId* out,
+                             bool wait = true);
 
-  /// Marks the node's data ready (after load + transfer) and wakes waiters.
-  void mark_valid(NodeId node);
+  /// Marks the nodes' data ready (after load + transfer) under one lock
+  /// acquisition and wakes waiters once.
+  void mark_valid(std::span<const NodeId> nodes);
+  /// mark_valid() of one node.
+  void mark_valid(NodeId node) {
+    mark_valid(std::span<const NodeId>(&node, 1));
+  }
 
   /// Marks a node whose load permanently failed; wakes waiters, which see
   /// kNoSlot from wait_ready(). The node's references stay owed — when the

@@ -1,5 +1,6 @@
 #include "gpu/gpu.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gnndrive {
@@ -41,22 +42,27 @@ std::uint64_t GpuDevice::allocated() const {
   return allocated_;
 }
 
-void GpuDevice::memcpy_h2d_async(void* dst, const void* src,
-                                 std::uint64_t bytes,
-                                 std::function<void()> on_complete) {
-  const double transfer_us =
-      config_.copy_overhead_us +
-      static_cast<double>(bytes) / config_.pcie_bandwidth_mb_s;
-  const Duration service = from_us(transfer_us * config_.time_scale);
+void GpuDevice::memcpy_h2d_scatter_async(std::vector<H2dPart> parts,
+                                         std::function<void()> on_complete) {
+  Duration service{};
+  for (const H2dPart& p : parts) {
+    const double transfer_us =
+        config_.copy_overhead_us +
+        static_cast<double>(p.bytes) / config_.pcie_bandwidth_mb_s;
+    service += from_us(transfer_us * config_.time_scale);
+  }
+  bool wake;
   {
     std::lock_guard lock(mu_);
     const TimePoint start = std::max(Clock::now(), engine_free_);
     const TimePoint done = start + service;
     engine_free_ = done;
-    copies_.push(Copy{done, dst, src, bytes, std::move(on_complete)});
+    wake = done < wake_at_;
+    if (wake) wake_at_ = TimePoint::min();
+    copies_.push(Copy{done, std::move(parts), std::move(on_complete)});
     ++in_flight_;
   }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
 }
 
 void GpuDevice::memcpy_h2d_sync(void* dst, const void* src,
@@ -85,28 +91,44 @@ void GpuDevice::launch(const std::function<void()>& fn) {
 }
 
 void GpuDevice::dma_loop() {
+  std::vector<Copy> due;  // run outside the lock, in done_at order
   std::unique_lock lock(mu_);
   for (;;) {
-    if (copies_.empty()) {
-      if (stop_) return;
-      cv_.wait(lock, [&] { return stop_ || !copies_.empty(); });
+    // Take every copy that is due now under this one lock hold.
+    const TimePoint now = Clock::now();
+    while (!copies_.empty() && copies_.top().done_at <= now) {
+      due.push_back(std::move(const_cast<Copy&>(copies_.top())));
+      copies_.pop();
+    }
+    if (due.empty()) {
+      if (copies_.empty()) {
+        if (stop_) return;
+        wake_at_ = TimePoint::max();
+        cv_.wait(lock);
+      } else {
+        wake_at_ = copies_.top().done_at;
+        cv_.wait_until(lock, wake_at_);
+      }
+      wake_at_ = TimePoint::min();
       continue;
     }
-    const TimePoint due = copies_.top().done_at;
-    if (Clock::now() < due) {
-      cv_.wait_until(lock, due);
-      continue;
-    }
-    Copy copy = std::move(const_cast<Copy&>(copies_.top()));
-    copies_.pop();
     lock.unlock();
-    if (copy.dst != nullptr && copy.bytes > 0) {
-      ScopedTrace trace(telemetry_, TraceCat::kGpuBusy);
-      std::memcpy(copy.dst, copy.src, copy.bytes);
+    for (Copy& copy : due) {
+      const auto moves = [](const H2dPart& p) {
+        return p.dst != nullptr && p.bytes > 0;
+      };
+      if (std::any_of(copy.parts.begin(), copy.parts.end(), moves)) {
+        ScopedTrace trace(telemetry_, TraceCat::kGpuBusy);
+        for (const H2dPart& p : copy.parts) {
+          if (moves(p)) std::memcpy(p.dst, p.src, p.bytes);
+        }
+      }
+      if (copy.on_complete) copy.on_complete();
     }
-    if (copy.on_complete) copy.on_complete();
+    const std::size_t completed = due.size();
+    due.clear();
     lock.lock();
-    --in_flight_;
+    in_flight_ -= completed;
     if (in_flight_ == 0) drained_.notify_all();
   }
 }

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <vector>
 
 #include "util/common.hpp"
 #include "util/telemetry.hpp"
@@ -57,10 +58,25 @@ class GpuDevice : NonCopyable {
   std::uint64_t capacity() const { return config_.device_memory_bytes; }
 
   // -- Copy engine ----------------------------------------------------------
-  /// Asynchronous host-to-device copy: the memcpy and `on_complete` run on
-  /// the DMA thread once the modeled PCIe transfer time elapses.
+  /// One contiguous piece of a scatter copy.
+  struct H2dPart {
+    void* dst;
+    const void* src;
+    std::uint64_t bytes;
+  };
+  /// Asynchronous scatter copy as one copy-engine job: every part's memcpy
+  /// and then `on_complete` (once) run on the DMA thread when the job's
+  /// modeled time elapses. The job occupies the engine for the sum of the
+  /// per-part `copy_overhead_us + bytes / pcie_bandwidth`, exactly as long
+  /// as one memcpy_h2d_async per part would.
+  void memcpy_h2d_scatter_async(std::vector<H2dPart> parts,
+                                std::function<void()> on_complete);
+  /// Asynchronous host-to-device copy: the one-part scatter copy.
   void memcpy_h2d_async(void* dst, const void* src, std::uint64_t bytes,
-                        std::function<void()> on_complete);
+                        std::function<void()> on_complete) {
+    memcpy_h2d_scatter_async({H2dPart{dst, src, bytes}},
+                             std::move(on_complete));
+  }
   /// Synchronous copy (PyG+/Ginex-style transfer on the critical path).
   void memcpy_h2d_sync(void* dst, const void* src, std::uint64_t bytes);
   /// Charges the modeled PCIe time of a synchronous transfer without moving
@@ -81,9 +97,7 @@ class GpuDevice : NonCopyable {
  private:
   struct Copy {
     TimePoint done_at;
-    void* dst;
-    const void* src;
-    std::uint64_t bytes;
+    std::vector<H2dPart> parts;
     std::function<void()> on_complete;
     bool operator>(const Copy& other) const {
       return done_at > other.done_at;
@@ -103,6 +117,10 @@ class GpuDevice : NonCopyable {
   std::size_t in_flight_ = 0;
   std::uint64_t allocated_ = 0;
   bool stop_ = false;
+  /// The DMA thread's own next wake (the SSD device thread's rule):
+  /// TimePoint::max() while idle, the earliest done_at while it sleeps on
+  /// that, TimePoint::min() while it runs or a wake is on its way.
+  TimePoint wake_at_ = TimePoint::min();
   std::thread dma_thread_;
 };
 

@@ -103,8 +103,8 @@ ServeEngine::ServeEngine(const RunContext& ctx, const ServeConfig& config,
       latency_(*ctx_.telemetry, "serve.latency.us", nullptr),
       m_(*ctx_.telemetry->metrics(),
          {"serve.completed", "serve.failed", "serve.shed_deadline",
-          "serve.batches", "serve.io_retries", "serve.io_errors",
-          "serve.hot_swaps"}) {
+          "serve.batches", "serve.batched_requests", "serve.io_retries",
+          "serve.io_errors", "serve.hot_swaps"}) {
   GD_CHECK_MSG(ctx_.dataset != nullptr && ctx_.ssd != nullptr,
                "ServeEngine needs a dataset and an SSD");
   GD_CHECK_MSG(sub_.feature_buffer != nullptr && sub_.params != nullptr,
@@ -347,6 +347,7 @@ void ServeEngine::process_batch(std::vector<PendingRequest>&& batch,
       (next_batch_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   const auto coalesced = static_cast<std::uint32_t>(batch.size());
   m_[kBatches].add();
+  m_[kBatchedRequests].add(coalesced);
   rm_batch_size_->add_us(static_cast<double>(coalesced));
 
   // Deadline shedding: a request whose SLO already expired while queued is
@@ -519,8 +520,11 @@ ServeReport ServeEngine::report() const {
   r.completed = m_.view(kCompleted);
   r.failed = m_.view(kFailed);
   r.shed_deadline = m_.view(kShedDeadline);
-  r.batches = coalescer_.batches();
-  r.coalesce_factor = coalescer_.coalesce_factor();
+  r.batches = m_.view(kBatches);
+  r.coalesce_factor =
+      r.batches > 0 ? static_cast<double>(m_.view(kBatchedRequests)) /
+                          static_cast<double>(r.batches)
+                    : 0.0;
   r.io_errors = m_.view(kIoErrors);
   r.io_retries = m_.view(kIoRetries);
   r.queue_wait = queue_wait_.latency();

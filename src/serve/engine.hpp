@@ -171,8 +171,8 @@ class ServeEngine : NonCopyable {
   // reads the counters' growth since construction (the feature buffer's
   // serve counters since start()).
   enum Count : std::size_t {
-    kCompleted, kFailed, kShedDeadline, kBatches, kIoRetries, kIoErrors,
-    kHotSwaps, kNumCounts
+    kCompleted, kFailed, kShedDeadline, kBatches, kBatchedRequests,
+    kIoRetries, kIoErrors, kHotSwaps, kNumCounts
   };
   CounterSet<kNumCounts> m_;
   Gauge* m_model_gen_;  ///< serve.model_generation

@@ -197,72 +197,82 @@ SsdFaultConfig SsdDevice::fault_config() const {
 
 std::uint64_t SsdDevice::submit(Op op, std::uint64_t offset, std::uint32_t len,
                                 void* buf, Completion on_complete) {
-  GD_CHECK(offset + len <= backend_->size());
+  Request req{op, offset, len, buf, std::move(on_complete)};
+  submit_batch(std::span<Request>(&req, 1));
+  return req.token;
+}
+
+void SsdDevice::submit_batch(std::span<Request> requests) {
+  for (const Request& r : requests) {
+    GD_CHECK(r.offset + r.len <= backend_->size());
+  }
   const TimePoint now = Clock::now();
-  Duration service = service_time(op, len);
-  std::uint64_t token;
+  bool wake = false;
   {
     std::lock_guard lock(mu_);
-    Pending req;
-    req.op = op;
-    req.offset = offset;
-    req.len = len;
-    req.buf = buf;
-    req.on_complete = std::move(on_complete);
-    token = req.token = next_token_++;
-    if (injector_) {
-      const auto d = injector_->decide(op == Op::kRead, offset, len);
-      req.injected_res = d.res;
-      req.stuck = d.stuck;
-      if (d.res < 0) {
-        m_[kInjectedEio].add();
-      } else if (d.stuck) {
-        m_[kInjectedStuck].add();
-      } else if (d.latency_multiplier > 1.0) {
-        m_[kInjectedSpikes].add();
-        service = std::chrono::duration_cast<Duration>(
-            service * d.latency_multiplier);
+    for (Request& r : requests) {
+      Duration service = service_time(r.op, r.len);
+      Pending req;
+      req.op = r.op;
+      req.offset = r.offset;
+      req.len = r.len;
+      req.buf = r.buf;
+      req.on_complete = std::move(r.on_complete);
+      r.token = req.token = next_token_++;
+      if (injector_) {
+        const auto d = injector_->decide(r.op == Op::kRead, r.offset, r.len);
+        req.injected_res = d.res;
+        req.stuck = d.stuck;
+        if (d.res < 0) {
+          m_[kInjectedEio].add();
+        } else if (d.stuck) {
+          m_[kInjectedStuck].add();
+        } else if (d.latency_multiplier > 1.0) {
+          m_[kInjectedSpikes].add();
+          service = std::chrono::duration_cast<Duration>(
+              service * d.latency_multiplier);
+        }
       }
+      if (req.stuck) {
+        // Never scheduled for completion; occupies no channel (the modeled
+        // firmware lost it). Cancellation is the only way out.
+        req.done_at = stuck_deadline();
+      } else {
+        // Pick the channel that frees up earliest (c-server queue).
+        auto it = std::min_element(channel_free_.begin(), channel_free_.end());
+        const TimePoint start = std::max(now, *it);
+        req.done_at = start + service;
+        *it = req.done_at;
+        add_busy_locked(service);
+      }
+      if (r.op == Op::kRead) {
+        m_[kReads].add();
+        m_[kBytesRead].add(r.len);
+      } else {
+        m_[kWrites].add();
+        m_[kBytesWritten].add(r.len);
+      }
+      wake = wake || req.done_at < wake_at_;
+      pending_.push(std::move(req));
     }
-    if (req.stuck) {
-      // Never scheduled for completion; occupies no channel (the modeled
-      // firmware lost it). Cancellation is the only way out.
-      req.done_at = stuck_deadline();
-    } else {
-      // Pick the channel that frees up earliest (c-server queue).
-      auto it = std::min_element(channel_free_.begin(), channel_free_.end());
-      const TimePoint start = std::max(now, *it);
-      req.done_at = start + service;
-      *it = req.done_at;
-      add_busy_locked(service);
-    }
-    if (op == Op::kRead) {
-      m_[kReads].add();
-      m_[kBytesRead].add(len);
-    } else {
-      m_[kWrites].add();
-      m_[kBytesWritten].add(len);
-    }
-    pending_.push(std::move(req));
-    ++in_flight_;
+    in_flight_ += requests.size();
     set_pending_locked();
+    // The thread re-reads the heap when it wakes, so later submitters need
+    // not notify again until it sleeps.
+    if (wake) wake_at_ = TimePoint::min();
   }
-  cv_.notify_one();
-  return token;
+  if (wake) cv_.notify_one();
 }
 
 bool SsdDevice::try_cancel(std::uint64_t token) {
   std::lock_guard lock(mu_);
   if (token == 0 || token >= next_token_) return false;
   if (cancelled_.count(token) != 0) return false;  // already cancelled
-  // Linear scan is not possible on the heap; instead mark for lazy deletion
-  // and verify the request is still pending by probing the heap contents via
-  // the in-flight bookkeeping: a completed request's token can no longer be
-  // in the heap. We track liveness implicitly — the device loop removes a
-  // request from the heap only at completion (lock held), so "pending" is
-  // exactly "not yet popped". A popped-but-not-yet-completed request cannot
-  // exist while we hold mu_ because the pop and the decision to complete
-  // happen under the same lock acquisition.
+  // A request is cancellable exactly while it sits in the heap. The device
+  // thread pops every due request under mu_ and completes them after
+  // releasing it, so a request that is due has left the heap: it is
+  // completing, the scan below misses it, and its completion still runs.
+  // A pending one is marked for lazy deletion from the heap.
   bool found = false;
   {
     // priority_queue has no iteration API; use the underlying container via
@@ -387,49 +397,61 @@ void SsdDevice::set_pending_locked() {
 }
 
 void SsdDevice::device_loop() {
+  std::vector<Pending> due;  // completed outside the lock, in done_at order
   std::unique_lock lock(mu_);
   for (;;) {
-    // Discard cancelled requests eagerly so they neither delay the heap top
-    // nor keep the loop alive at shutdown.
-    while (!pending_.empty() &&
-           cancelled_.count(pending_.top().token) != 0) {
-      cancelled_.erase(pending_.top().token);
+    // Take every request that is due now under this one lock hold.
+    // Cancelled requests are discarded eagerly so they neither delay the
+    // heap top nor keep the loop alive at shutdown.
+    const TimePoint now = Clock::now();
+    while (!pending_.empty()) {
+      const Pending& top = pending_.top();
+      if (!cancelled_.empty() && cancelled_.erase(top.token) != 0) {
+        pending_.pop();
+        continue;
+      }
+      if (stop_ && top.stuck) {
+        // Shutdown with an uncancelled stuck request: abandon it (its
+        // completion never runs) instead of blocking destruction for a year.
+        pending_.pop();
+        --in_flight_;
+        set_pending_locked();
+        if (in_flight_ == 0) drained_.notify_all();
+        continue;
+      }
+      if (top.done_at > now) break;
+      due.push_back(std::move(const_cast<Pending&>(top)));
       pending_.pop();
     }
-    if (pending_.empty()) {
-      if (stop_) return;
-      cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
+    if (due.empty()) {
+      if (pending_.empty()) {
+        if (stop_) return;
+        wake_at_ = TimePoint::max();
+        cv_.wait(lock);
+      } else {
+        wake_at_ = pending_.top().done_at;
+        cv_.wait_until(lock, wake_at_);
+      }
+      wake_at_ = TimePoint::min();
       continue;
     }
-    const TimePoint due = pending_.top().done_at;
-    if (stop_ && pending_.top().stuck) {
-      // Shutdown with an uncancelled stuck request: abandon it (its
-      // completion never runs) instead of blocking destruction for a year.
-      pending_.pop();
-      --in_flight_;
-      set_pending_locked();
-      if (in_flight_ == 0) drained_.notify_all();
-      continue;
-    }
-    if (Clock::now() < due) {
-      cv_.wait_until(lock, due);
-      continue;
-    }
-    // Completion: move the request out, do the data movement and callback
-    // without holding the lock.
-    Pending req = std::move(const_cast<Pending&>(pending_.top()));
-    pending_.pop();
+    // Data movement and callbacks run without the lock.
     lock.unlock();
-    std::int32_t res = req.injected_res;
-    if (res == 0) {
-      res = req.op == Op::kRead ? backend_->read(req.offset, req.len, req.buf)
-                                : backend_->write(req.offset, req.len, req.buf);
+    for (Pending& req : due) {
+      std::int32_t res = req.injected_res;
+      if (res == 0) {
+        res = req.op == Op::kRead
+                  ? backend_->read(req.offset, req.len, req.buf)
+                  : backend_->write(req.offset, req.len, req.buf);
+      }
+      if (req.on_complete) {
+        req.on_complete(res < 0 ? res : static_cast<std::int32_t>(req.len));
+      }
     }
-    const std::int32_t cqe_res =
-        res < 0 ? res : static_cast<std::int32_t>(req.len);
-    if (req.on_complete) req.on_complete(cqe_res);
+    const std::size_t completed = due.size();
+    due.clear();
     lock.lock();
-    --in_flight_;
+    in_flight_ -= completed;
     set_pending_locked();
     if (in_flight_ == 0) drained_.notify_all();
   }

@@ -29,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -172,17 +173,33 @@ class SsdDevice : NonCopyable {
   SsdDevice(SsdConfig config, std::shared_ptr<SsdBackend> backend);
   ~SsdDevice();
 
-  /// Submits an asynchronous request. `on_complete` runs on the device thread
-  /// after the modeled service time elapses and the data movement happened;
-  /// it must be cheap and must not call back into the device. Returns a
-  /// token usable with try_cancel().
+  /// One asynchronous request for submit_batch().
+  struct Request {
+    Op op = Op::kRead;
+    std::uint64_t offset = 0;
+    std::uint32_t len = 0;
+    void* buf = nullptr;
+    Completion on_complete;
+    std::uint64_t token = 0;  ///< set by submit_batch (for try_cancel)
+  };
+
+  /// Submits every request under one device-lock acquisition and wakes the
+  /// device thread at most once — only when a request is due before the
+  /// deadline it sleeps until, or when it is idle. Each request's
+  /// `on_complete` runs on the device thread after its modeled service time
+  /// elapsed and its data moved; it must be cheap and must not call back
+  /// into the device. Consumes the callbacks and fills each `token`.
+  void submit_batch(std::span<Request> requests);
+
+  /// submit_batch() of one request; returns its try_cancel() token.
   std::uint64_t submit(Op op, std::uint64_t offset, std::uint32_t len,
                        void* buf, Completion on_complete);
 
-  /// Cancels a submitted-but-not-yet-completed request. Returns true when
-  /// the request was still pending: its buffer will never be touched and its
+  /// Cancels a submitted-but-not-yet-due request. Returns true when the
+  /// request was still pending: its buffer will never be touched and its
   /// completion will never run (the caller owns synthesizing an error).
-  /// Returns false when the request already completed or is completing.
+  /// Returns false when the request already completed or is completing
+  /// (it was due and the device thread took it; its completion runs).
   bool try_cancel(std::uint64_t token);
 
   /// Convenience synchronous operations (submit + block until completion).
@@ -268,6 +285,11 @@ class SsdDevice : NonCopyable {
   std::size_t in_flight_ = 0;
   std::uint64_t next_token_ = 1;
   bool stop_ = false;
+  /// When the device thread next wakes by itself: TimePoint::max() while
+  /// it waits with nothing pending, the heap top's done_at while it sleeps
+  /// on that, TimePoint::min() while it runs (or a wake is already on its
+  /// way). A submitter notifies only for a request due before this.
+  TimePoint wake_at_ = TimePoint::min();
   std::unique_ptr<FaultInjector> injector_;  ///< null when faults are off
 
   // The ssd.* instruments — the only store of the device's counts — in the

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "aio/io_ring.hpp"
 #include "util/rng.hpp"
@@ -112,6 +113,53 @@ TEST_F(RingFixture, AsyncDepthBeatsSerialLatency) {
   for (int i = 0; i < 32; ++i) ring.wait_cqe();
   const double elapsed = to_seconds(Clock::now() - t0);
   EXPECT_LT(elapsed, 32 * 30e-6);
+}
+
+TEST_F(RingFixture, BatchMixingBadAndValidSqesCompletesEachOnce) {
+  IoRing ring(*ssd, {.queue_depth = 8, .direct = true,
+                     .max_transfer_bytes = 4096});
+  std::vector<std::uint8_t> buf(8 * 8192);
+  std::uint8_t* const b = buf.data();
+  struct Case {
+    std::uint64_t offset;
+    std::uint32_t len;
+    std::int32_t res;
+  };
+  const std::vector<Case> cases = {
+      {0, 512, 512},            // valid
+      {100, 512, -EINVAL},      // misaligned offset
+      {8192, 8192, -EINVAL},    // over max_transfer_bytes
+      {4096, 4096, 4096},       // valid, at the cap
+      {16384, 600, -EINVAL},    // misaligned length
+      {24576, 0, -EINVAL},      // zero length
+      {32768, 1024, 1024},      // valid
+  };
+  for (std::uint64_t i = 0; i < cases.size(); ++i) {
+    ASSERT_TRUE(ring.prep_read(cases[i].offset, cases[i].len, b + i * 8192,
+                               i));
+  }
+  EXPECT_EQ(ring.submit(), cases.size());
+  std::vector<Cqe> cqes;
+  while (cqes.size() < cases.size()) {
+    cqes.push_back(ring.wait_cqe());
+    ring.peek_cqes(cqes);  // reap every other available CQE at once
+  }
+  EXPECT_EQ(cqes.size(), cases.size());
+  std::set<std::uint64_t> seen;
+  for (const Cqe& cqe : cqes) {
+    ASSERT_LT(cqe.user_data, cases.size());
+    seen.insert(cqe.user_data);
+    const Case& c = cases[cqe.user_data];
+    EXPECT_EQ(cqe.res, c.res) << "sqe " << cqe.user_data;
+    if (c.res > 0) {
+      EXPECT_EQ(std::memcmp(b + cqe.user_data * 8192, image->raw() + c.offset,
+                            c.len),
+                0);
+    }
+  }
+  EXPECT_EQ(seen.size(), cases.size());
+  EXPECT_EQ(ring.in_flight(), 0u);
+  EXPECT_EQ(ring.peek_cqes(cqes), 0u);
 }
 
 TEST_F(RingFixture, PeekCqeNonBlocking) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "gpu/gpu.hpp"
 
@@ -72,6 +73,39 @@ TEST(Gpu, CopiesSerializeOnDmaEngine) {
   gpu.sync();
   // 8 copies x 50 us launch overhead on one engine.
   EXPECT_GE(to_seconds(Clock::now() - t0), 8 * 50e-6 * 0.9);
+}
+
+TEST(Gpu, ScatterCopyLandsEveryRowWithOneCallback) {
+  GpuDevice gpu(small_cfg());
+  constexpr std::size_t kRows = 8;
+  constexpr std::size_t kRowBytes = 96;
+  std::vector<std::uint8_t> src(kRows * kRowBytes);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  // Rows land in reverse order, every other destination row left alone.
+  std::vector<std::uint8_t> dst(2 * kRows * kRowBytes, 0xEE);
+  std::vector<GpuDevice::H2dPart> parts;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    parts.push_back({dst.data() + 2 * (kRows - 1 - r) * kRowBytes,
+                     src.data() + r * kRowBytes, kRowBytes});
+  }
+  std::atomic<int> callbacks{0};
+  const TimePoint t0 = Clock::now();
+  gpu.memcpy_h2d_scatter_async(std::move(parts), [&] { ++callbacks; });
+  gpu.sync();
+  // The job is charged every part's overhead: 8 x 50 us on one engine.
+  EXPECT_GE(to_seconds(Clock::now() - t0), kRows * 50e-6 * 0.9);
+  EXPECT_EQ(callbacks.load(), 1);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    EXPECT_EQ(std::memcmp(dst.data() + 2 * (kRows - 1 - r) * kRowBytes,
+                          src.data() + r * kRowBytes, kRowBytes),
+              0)
+        << "row " << r;
+    for (std::size_t k = 0; k < kRowBytes; ++k) {
+      ASSERT_EQ(dst[(2 * r + 1) * kRowBytes + k], 0xEE) << "gap row " << r;
+    }
+  }
 }
 
 TEST(Gpu, ChargeOnlyCopyHasNoDataMovement) {

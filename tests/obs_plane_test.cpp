@@ -918,15 +918,25 @@ TEST_F(ObsPlaneFixture, SecondServeEngineOnAUsedContextReportsOnlyItsOwnRequests
 
 TEST_F(ObsPlaneFixture, CongestedConfigIsAttributedToTheSsd) {
   // Fig. 3 regime: one device channel, slow reads, ample host memory — the
-  // SSD queue saturates while the (tiny) trainer idles.
+  // SSD queue saturates while the (tiny) trainer idles. The trainer's time
+  // is host math, which a sanitizer build slows many times over, while the
+  // SSD's is modeled; so the device is slowed 4x and the model kept minimal
+  // (fanouts 2, hidden 2) for the SSD to dominate at any host speed. The
+  // relaxed watchdog keeps the deep one-channel queue from reading as a
+  // stuck device.
   SsdConfig ssd_cfg;
   ssd_cfg.read_latency_us = 400.0;
   ssd_cfg.bandwidth_mb_s = 100.0;
   ssd_cfg.channels = 1;
+  ssd_cfg.time_scale = 4.0;
   auto env = make_env(ssd_cfg, 64ull << 20);
+  GnnDriveConfig cfg = base_config();
+  cfg.common.model.hidden_dim = 2;
+  cfg.common.sampler.fanouts = {2, 2, 2};
+  cfg.fault.request_timeout_ms = 60000.0;
   // Epoch 0 runs against a cold feature buffer, so every feature comes off
   // the device (a warm epoch on the toy graph does no I/O at all).
-  GnnDrive system(env.ctx, base_config());
+  GnnDrive system(env.ctx, cfg);
   system.run_epoch(0);
 
   ASSERT_TRUE(env.telemetry->attributor()->has_report());
@@ -940,10 +950,13 @@ TEST_F(ObsPlaneFixture, CongestedConfigIsAttributedToTheSsd) {
 TEST_F(ObsPlaneFixture, MemoryTightBufferedConfigIsAttributedToThePageCache) {
   // Fig. 2 regime: wide features (one 4 KiB page per node, 16 MiB total)
   // read through a page cache squeezed by a tight host budget — misses
-  // evict exactly what the next access needs.
+  // evict exactly what the next access needs. As above, a 4x slower device
+  // and a minimal model keep the fault stalls a large share of the epoch
+  // even when a sanitizer build slows the host math.
   Dataset wide = Dataset::build(toy_spec(1024));
   SsdConfig ssd_cfg;
   ssd_cfg.read_latency_us = 400.0;
+  ssd_cfg.time_scale = 4.0;
   Env env;
   env.ssd = wide.make_device(ssd_cfg);
   env.mem = std::make_unique<HostMemory>(14ull << 20);
@@ -958,6 +971,9 @@ TEST_F(ObsPlaneFixture, MemoryTightBufferedConfigIsAttributedToThePageCache) {
   cfg.direct_io = false;           // features through the page cache
   cfg.staging_fraction = 0.9;      // pin most of what's left of the host
   cfg.feature_buffer_scale = 0.1;  // little cross-batch reuse in the fb
+  cfg.common.model.hidden_dim = 2;
+  cfg.common.sampler.fanouts = {2, 2, 2};
+  cfg.fault.request_timeout_ms = 60000.0;
   GnnDrive system(env.ctx, cfg);
   system.run_epoch(0);
 

@@ -1,12 +1,17 @@
 // Simulated SSD: data integrity, service-time model, channel overlap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "storage/ssd.hpp"
 #include "util/rng.hpp"
@@ -128,6 +133,121 @@ TEST(Ssd, TimeScaleMultiplier) {
   SsdDevice ssd(cfg, image);
   EXPECT_NEAR(to_seconds(ssd.service_time(SsdDevice::Op::kRead, 512)),
               3.0 * (200e-6 + 512.0 / (4000.0 / 8) * 1e-6), 1e-6);
+}
+
+TEST(Ssd, SubmitBatchMatchesSingleSubmitsAndCompletesInDoneAtOrder) {
+  // Two channels and mixed lengths, so done_at order differs from
+  // submission order: r1 < r0 < r2 < r3 < r4 < r5 by the c-server model.
+  SsdConfig cfg = fast_cfg();
+  cfg.channels = 2;
+  const std::vector<std::uint32_t> lens = {65536, 512, 512, 512, 4096, 512};
+  const std::size_t n = lens.size();
+  auto image = make_image(1 << 20);
+  SsdDevice batched(cfg, image);
+  SsdDevice single(cfg, image);
+
+  // Expected done_at offsets from the submit time, replaying the model.
+  std::vector<double> free_at(cfg.channels, 0.0);
+  std::vector<double> done_at(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto it = std::min_element(free_at.begin(), free_at.end());
+    *it += to_seconds(batched.service_time(SsdDevice::Op::kRead, lens[i]));
+    done_at[i] = *it;
+  }
+  std::vector<std::size_t> expected_order(n);
+  for (std::size_t i = 0; i < n; ++i) expected_order[i] = i;
+  std::sort(expected_order.begin(), expected_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return done_at[a] < done_at[b];
+            });
+
+  std::vector<std::uint8_t> bufs(n * 65536);
+  std::mutex m;
+  std::vector<std::size_t> order;
+  std::vector<TimePoint> arrived(n);
+  std::vector<SsdDevice::Request> reqs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    reqs[i] = {SsdDevice::Op::kRead, i * 65536, lens[i],
+               bufs.data() + i * 65536, [&, i](std::int32_t res) {
+                 EXPECT_EQ(res, static_cast<std::int32_t>(lens[i]));
+                 std::lock_guard lk(m);
+                 order.push_back(i);
+                 arrived[i] = Clock::now();
+               }};
+  }
+  const TimePoint t0 = Clock::now();
+  batched.submit_batch(reqs);
+  batched.drain();
+  for (std::size_t i = 0; i < n; ++i) {
+    single.submit(SsdDevice::Op::kRead, i * 65536, lens[i],
+                  bufs.data() + i * 65536, nullptr);
+  }
+  single.drain();
+
+  std::set<std::uint64_t> tokens;
+  for (const auto& r : reqs) tokens.insert(r.token);
+  EXPECT_EQ(tokens.size(), n);
+  EXPECT_EQ(tokens.count(0), 0u);
+  EXPECT_EQ(order, expected_order);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Submitted at or after t0, so done_at >= t0 + the modeled offset.
+    EXPECT_GE(to_seconds(arrived[i] - t0), done_at[i]) << "request " << i;
+    EXPECT_EQ(std::memcmp(bufs.data() + i * 65536,
+                          image->raw() + i * 65536, lens[i]),
+              0);
+  }
+  const SsdStats a = batched.stats();
+  const SsdStats b = single.stats();
+  EXPECT_EQ(a.reads, n);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.busy_seconds, b.busy_seconds);  // the same ssd.busy_us
+}
+
+TEST(SsdFaults, TryCancelOfADueRequestFailsAndItsCompletionArrives) {
+  // Two requests with the same done_at (one batch, two free channels) fall
+  // due together. While the first completion runs, the second one is due
+  // and completing: the watchdog must not be able to cancel it.
+  SsdConfig cfg = fast_cfg();
+  cfg.channels = 2;
+  auto image = make_image(1 << 16);
+  SsdDevice ssd(cfg, image);
+  std::uint8_t bufs[2][512];
+  std::mutex m;
+  std::condition_variable cv;
+  int first = -1;
+  bool release = false;
+  int completions = 0;
+  std::vector<SsdDevice::Request> reqs(2);
+  for (int i = 0; i < 2; ++i) {
+    reqs[i] = {SsdDevice::Op::kRead, static_cast<std::uint64_t>(i) * 512,
+               512, bufs[i], [&, i](std::int32_t res) {
+                 EXPECT_EQ(res, 512);
+                 std::unique_lock lk(m);
+                 ++completions;
+                 if (first >= 0) return;
+                 first = i;
+                 cv.notify_all();
+                 cv.wait(lk, [&] { return release; });
+               }};
+  }
+  ssd.submit_batch(reqs);
+  {
+    std::unique_lock lk(m);
+    cv.wait(lk, [&] { return first >= 0; });
+  }
+  EXPECT_FALSE(ssd.try_cancel(reqs[1 - first].token));
+  {
+    std::lock_guard lk(m);
+    release = true;
+  }
+  cv.notify_all();
+  ssd.drain();
+  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(ssd.stats().cancelled, 0u);
+  EXPECT_EQ(std::memcmp(bufs[1 - first],
+                        image->raw() + (1 - first) * 512, 512),
+            0);
 }
 
 TEST(FileBackend, RoundTrip) {
