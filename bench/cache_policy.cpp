@@ -18,9 +18,12 @@
 //     target is met here on the skewed configs.
 //
 // A trace-driven simulator row replays the same epoch-0 access sequence
-// through LRU, hotness and Belady's optimal replacement at the measured
-// slot budget — the oracle knows the future, so its hit rate upper-bounds
-// every realizable policy. Training is byte-identical across policies (the
+// through LRU, hotness and Belady's replacement at the measured slot
+// budget. Belady knows the future and, like the real buffer, starts cold
+// and keeps each batch resident: no such policy (LRU among them) hits
+// more, so the bench exits non-zero if the simulated Belady row ever falls
+// below the simulated LRU row. Hotness is not bounded by it — its hot set
+// is prefetched for free. Training is byte-identical across policies (the
 // differential test in tests/cache_policy_test.cpp holds the proof); only
 // I/O shifts.
 #include "bench/bench_common.hpp"
@@ -130,8 +133,9 @@ int main() {
       "Feature-cache policy A/B (LRU vs hotness vs Belady oracle)",
       "Hit rate, SSD reads and epoch time per policy across access-skew "
       "levels and buffer budgets, plus a trace-driven simulator replay at "
-      "the measured slot budget. Belady knows the future: no realizable "
-      "policy beats its row.");
+      "the measured slot budget. Belady knows the future: no cold-start, "
+      "batch-pinned policy (LRU) beats its row; a free-prefetched hot set "
+      "can.");
 
   const std::vector<double> skews =
       bench_full_mode() ? std::vector<double>{1.0, 2.5, 3.5}
@@ -147,6 +151,7 @@ int main() {
               "budget", "policy", "slots", "hit-rate", "hot/ep", "reuse/ep",
               "wait/ep", "loads/ep", "reads/ep", "epoch(s)");
 
+  bool belady_ok = true;
   for (const double skew : skews) {
     // A private dataset per skew level (get_dataset's registry is keyed by
     // name/dim and fixed at the generator default skew).
@@ -180,12 +185,14 @@ int main() {
           simulate_hotness(trace, hot.slots, prof.hot_nodes);
       const CacheSimResult s_opt = simulate_belady(trace, lru.slots);
       std::printf("%5.2f %-7s sim@%llu slots: lru=%.1f%% hotness=%.1f%% "
-                  "belady=%.1f%% (oracle upper bound, %llu lookups)\n",
+                  "belady=%.1f%% (bounds lru, %llu lookups)%s\n",
                   skew, budget.name,
                   static_cast<unsigned long long>(lru.slots),
                   100.0 * s_lru.hit_rate(), 100.0 * s_hot.hit_rate(),
                   100.0 * s_opt.hit_rate(),
-                  static_cast<unsigned long long>(s_opt.lookups));
+                  static_cast<unsigned long long>(s_opt.lookups),
+                  s_opt.hits < s_lru.hits ? "  [FAIL: belady < lru]" : "");
+      belady_ok = belady_ok && s_opt.hits >= s_lru.hits;
 
       const double ratio =
           lru.hit_rate > 0.0 ? hot.hit_rate / lru.hit_rate : 0.0;
@@ -198,5 +205,7 @@ int main() {
     }
   }
   std::printf("CACHE_POLICY_AB_DONE\n");
-  return 0;
+  // The traces and simulators are deterministic: only a planner bug lands
+  // Belady below LRU.
+  return belady_ok ? 0 : 1;
 }

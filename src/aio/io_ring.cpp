@@ -2,7 +2,9 @@
 
 #include <cerrno>
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -97,7 +99,8 @@ unsigned IoRing::submit() {
     first_id = next_ring_id_;
     next_ring_id_ += n;
     for (unsigned i = 0; i < n; ++i) {
-      inflight_.emplace(first_id + i, InFlight{staged_[i].user_data, 0, now});
+      inflight_.emplace(first_id + i,
+                        InFlight{staged_[i].user_data, 0, now, now});
     }
   }
   batch_.clear();
@@ -136,11 +139,14 @@ unsigned IoRing::submit() {
   if (batch_.empty()) return n;
   ssd_.submit_batch(batch_);
   // Completions may already have fired and erased their entries; only the
-  // still-live ones learn their device token (needed for cancellation).
+  // still-live ones learn their device token (needed for cancellation) and
+  // service start (the watchdog's age).
   std::lock_guard lock(mu_);
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     auto it = inflight_.find(batch_ids_[i]);
-    if (it != inflight_.end()) it->second.device_token = batch_[i].token;
+    if (it == inflight_.end()) continue;
+    it->second.device_token = batch_[i].token;
+    it->second.started_at = batch_[i].start;
   }
   return n;
 }
@@ -154,7 +160,7 @@ unsigned IoRing::cancel_expired(Duration timeout) {
   {
     std::lock_guard lock(mu_);
     for (const auto& [ring_id, entry] : inflight_) {
-      if (entry.device_token != 0 && entry.submitted_at <= cutoff) {
+      if (entry.device_token != 0 && entry.started_at <= cutoff) {
         candidates.emplace_back(ring_id, entry.device_token);
       }
     }
@@ -224,6 +230,40 @@ std::optional<Cqe> IoRing::wait_cqe_for(Duration timeout) {
 unsigned IoRing::in_flight() const {
   std::lock_guard lock(mu_);
   return in_flight_ + static_cast<unsigned>(cq_.size());
+}
+
+void stream_range(SsdDevice& ssd, Telemetry* telemetry, bool write,
+                  std::uint64_t offset, std::uint8_t* data, std::uint64_t len,
+                  std::uint32_t chunk_bytes, unsigned depth) {
+  const std::uint64_t body = round_down(len, kSectorSize);
+  GD_CHECK_MSG(!write || body == len, "stream_range: partial-sector write");
+  IoRingConfig rc;
+  rc.queue_depth = depth;
+  rc.direct = true;
+  IoRing ring(ssd, rc, nullptr, telemetry);
+  std::uint64_t submitted = 0;
+  std::uint64_t done = 0;
+  while (done < body) {
+    while (submitted < body && ring.in_flight() < depth) {
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(chunk_bytes, body - submitted));
+      if (write) {
+        ring.prep_write(offset + submitted, n, data + submitted, n);
+      } else {
+        ring.prep_read(offset + submitted, n, data + submitted, n);
+      }
+      ring.submit();
+      submitted += n;
+    }
+    const Cqe cqe = ring.wait_cqe();
+    GD_CHECK(cqe.res >= 0);
+    done += cqe.user_data;
+  }
+  if (body < len) {
+    alignas(64) std::uint8_t tail[kSectorSize];
+    GD_CHECK(ssd.read_sync(offset + body, kSectorSize, tail) >= 0);
+    std::memcpy(data + body, tail, len - body);
+  }
 }
 
 }  // namespace gnndrive

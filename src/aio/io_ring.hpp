@@ -17,10 +17,10 @@
 //
 // Error handling: device failures (injected or real FileBackend errno)
 // complete their CQEs with res < 0 instead of asserting. The ring tracks
-// submission timestamps so a stage watchdog can cancel_expired() overdue
-// requests — each cancelled request synthesizes a CQE with -ETIMEDOUT, and
-// the device guarantees a cancelled request never touches its buffer (no
-// use-after-reuse of staging rows).
+// when the device began serving each request so a stage watchdog can
+// cancel_expired() overdue requests — each cancelled request synthesizes a
+// CQE with -ETIMEDOUT, and the device guarantees a cancelled request never
+// touches its buffer (no use-after-reuse of staging rows).
 #pragma once
 
 #include <condition_variable>
@@ -89,12 +89,14 @@ class IoRing : NonCopyable {
   /// `timeout` (the watchdog poll primitive).
   std::optional<Cqe> wait_cqe_for(Duration timeout);
 
-  /// Watchdog sweep: cancels every in-flight request submitted more than
-  /// `timeout` ago whose device request is still cancellable, synthesizing a
-  /// CQE with res == -ETIMEDOUT for each. Requests already completing on the
-  /// device are left alone (their CQEs arrive normally). Returns the number
-  /// of requests cancelled. Pass Duration::zero() to cancel everything
-  /// cancellable (abort path).
+  /// Watchdog sweep: cancels every in-flight request whose device service
+  /// began more than `timeout` ago and that is still cancellable,
+  /// synthesizing a CQE with res == -ETIMEDOUT for each. A request ages
+  /// from its channel start, not from its submission, so a backlog of
+  /// healthy reads never reads as a timeout. Requests already completing on
+  /// the device are left alone (their CQEs arrive normally). Returns the
+  /// number of requests cancelled. Pass Duration::zero() to cancel
+  /// everything cancellable (abort path).
   unsigned cancel_expired(Duration timeout);
 
   /// Number of submitted requests whose CQEs have not been reaped yet.
@@ -113,7 +115,8 @@ class IoRing : NonCopyable {
   struct InFlight {
     std::uint64_t user_data = 0;
     std::uint64_t device_token = 0;  ///< 0 while the submit call is racing
-    TimePoint submitted_at;
+    TimePoint submitted_at;  ///< io.request_us counts from here
+    TimePoint started_at;    ///< device service start; set with device_token
   };
 
   /// Posts the CQE of request `ring_id` unless the watchdog cancelled it.
@@ -150,5 +153,14 @@ class IoRing : NonCopyable {
   Counter* m_io_errors_;            ///< fault.io_errors (error CQEs)
   Counter* m_io_timeouts_;          ///< fault.io_timeouts (cancelled)
 };
+
+/// Streams [offset, offset + len) between the device and the contiguous
+/// buffer `data` through a direct ring: sector-aligned chunks of at most
+/// `chunk_bytes`, at most `depth` in flight. The unaligned tail of a read
+/// bounces through one synchronous sector read; a write must be whole
+/// sectors. Aborts on an I/O error.
+void stream_range(SsdDevice& ssd, Telemetry* telemetry, bool write,
+                  std::uint64_t offset, std::uint8_t* data, std::uint64_t len,
+                  std::uint32_t chunk_bytes, unsigned depth);
 
 }  // namespace gnndrive

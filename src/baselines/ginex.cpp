@@ -1,13 +1,12 @@
 #include "baselines/ginex.hpp"
 
 #include <atomic>
-#include <queue>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "aio/io_ring.hpp"
 #include "baselines/batch_serde.hpp"
+#include "cache/belady.hpp"
 #include "util/logging.hpp"
 #include "util/queue.hpp"
 #include "util/worker_group.hpp"
@@ -15,6 +14,9 @@
 namespace gnndrive {
 
 namespace {
+
+/// Request size for spilling and reading back sampling results.
+constexpr std::uint32_t kSpillChunk = 256 * 1024;
 
 /// Loads feature rows (node, cache-slot) into `storage` through a direct-I/O
 /// ring at the given depth. Rows that are not sector-multiples bounce
@@ -82,48 +84,7 @@ void load_rows_into_cache(
   }
 }
 
-/// Bulk sequential I/O against the scratch region, chunked through a ring.
-void bulk_io(SsdDevice& ssd, Telemetry* tel, bool write, std::uint64_t offset,
-             std::uint8_t* data, std::uint64_t len, unsigned depth) {
-  IoRingConfig rc;
-  rc.queue_depth = depth;
-  rc.direct = true;
-  IoRing ring(ssd, rc, nullptr, tel);
-  constexpr std::uint64_t kChunk = 256 * 1024;
-  const std::uint64_t aligned = round_up(len, kSectorSize);
-  std::uint64_t submitted = 0;
-  std::uint64_t done = 0;
-  // `data` must have capacity for the sector padding of the last chunk; the
-  // callers allocate rounded-up buffers.
-  while (done < aligned) {
-    while (submitted < aligned && ring.in_flight() < depth) {
-      const auto n = static_cast<std::uint32_t>(
-          std::min(kChunk, aligned - submitted));
-      if (write) {
-        ring.prep_write(offset + submitted, n, data + submitted, submitted);
-      } else {
-        ring.prep_read(offset + submitted, n, data + submitted, submitted);
-      }
-      ring.submit();
-      submitted += n;
-    }
-    const Cqe cqe = ring.wait_cqe();
-    GD_CHECK(cqe.res >= 0);
-    done += static_cast<std::uint32_t>(cqe.res);
-  }
-}
-
 }  // namespace
-
-/// Belady replacement plan for one superbatch, produced by the inspect pass.
-struct Ginex::Plan {
-  /// Initial cache content: (node, cache slot), loaded synchronously at
-  /// superbatch start.
-  std::vector<std::pair<NodeId, std::uint32_t>> initial_fill;
-  /// Per mini-batch: nodes to evict, then (node, slot) loads.
-  std::vector<std::vector<NodeId>> evictions;
-  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> loads;
-};
 
 Ginex::Ginex(const RunContext& ctx, GinexConfig config)
     : ctx_(ctx), config_(std::move(config)),
@@ -210,8 +171,8 @@ EpochStats Ginex::run_epoch(std::uint64_t epoch) {
             }
             spill_offset[k] = off;
             spill_len[k] = ser.size();
-            bulk_io(*ctx_.ssd, ctx_.telemetry, /*write=*/true, off, ser.data(),
-                    ser.size(), /*depth=*/4);
+            stream_range(*ctx_.ssd, ctx_.telemetry, /*write=*/true, off,
+                         ser.data(), ser.size(), kSpillChunk, /*depth=*/4);
           }
         });
       }
@@ -225,9 +186,10 @@ EpochStats Ginex::run_epoch(std::uint64_t epoch) {
 
     if (config_.common.sample_only) continue;
 
-    // ---- Phase 2: inspect — read sampling results back and compute the
-    // Belady-optimal replacement plan over the superbatch's access sequence.
-    Plan plan;
+    // ---- Phase 2: inspect — read sampling results back and plan the
+    // superbatch's feature cache with Belady's rule (src/cache/belady).
+    std::vector<BeladyStep> plan;
+    std::vector<std::pair<NodeId, std::uint32_t>> initial_fill;
     {
       const TimePoint t0 = Clock::now();
       // Read-back I/O charge (the lists were just written; Ginex re-reads
@@ -236,115 +198,28 @@ EpochStats Ginex::run_epoch(std::uint64_t epoch) {
         std::vector<std::uint8_t> scratch;
         for (std::size_t k = 0; k < sb_count; ++k) {
           scratch.resize(spill_len[k]);
-          bulk_io(*ctx_.ssd, ctx_.telemetry, /*write=*/false, spill_offset[k],
-                  scratch.data(), spill_len[k], /*depth=*/16);
+          stream_range(*ctx_.ssd, ctx_.telemetry, /*write=*/false,
+                       spill_offset[k], scratch.data(), spill_len[k],
+                       kSpillChunk, /*depth=*/16);
         }
       }
       const TimePoint t_belady = Clock::now();
       BusyScope busy(ctx_.telemetry);
-      plan.evictions.resize(sb_count);
-      plan.loads.resize(sb_count);
-
-      // Future-use lists per node.
-      std::unordered_map<NodeId, std::vector<std::uint32_t>> uses;
-      for (std::size_t k = 0; k < sb_count; ++k) {
-        for (NodeId v : node_lists[k]) {
-          uses[v].push_back(static_cast<std::uint32_t>(k));
-        }
-      }
-      constexpr std::uint32_t kNever = 0xffffffffu;
-      std::unordered_map<NodeId, std::uint32_t> use_ptr;
-      const auto next_use_after = [&](NodeId v,
-                                      std::uint32_t now) -> std::uint32_t {
-        const auto& list = uses[v];
-        auto& ptr = use_ptr[v];
-        while (ptr < list.size() && list[ptr] <= now) ++ptr;
-        return ptr < list.size() ? list[ptr] : kNever;
-      };
-
-      // Simulated cache: slot assignment + lazy max-heap on next use.
-      std::unordered_map<NodeId, std::uint32_t> sim_map;
-      std::vector<std::uint32_t> free_slots;
-      for (std::uint32_t s = 0; s < cache_rows_; ++s) free_slots.push_back(s);
-      using HeapEntry = std::pair<std::uint32_t, NodeId>;  // (next_use, node)
-      std::priority_queue<HeapEntry> heap;
-      std::unordered_map<NodeId, std::uint32_t> heap_key;
-
-      // Initial fill: earliest-first-use nodes up to capacity (the Belady
-      // warm start Ginex loads synchronously at superbatch start).
-      for (std::size_t k = 0; k < sb_count && free_slots.size() > 0; ++k) {
-        for (NodeId v : node_lists[k]) {
-          if (free_slots.empty()) break;
-          if (sim_map.count(v) != 0) continue;
-          const std::uint32_t slot = free_slots.back();
-          free_slots.pop_back();
-          sim_map.emplace(v, slot);
-          plan.initial_fill.emplace_back(v, slot);
-          // Register in the heap at the first-use key so the node is an
-          // eviction candidate even before that use happens.
-          heap.push({static_cast<std::uint32_t>(k), v});
-          heap_key[v] = static_cast<std::uint32_t>(k);
-        }
-      }
-
-      // A batch member must survive until its batch trains. Keys for batch
-      // members are refreshed only AFTER the batch's misses are placed, so
-      // during the batch a member either carries a stale past key (the
-      // least attractive entry in the max-heap) or — when freshly loaded —
-      // no heap entry at all; in-batch eviction of needed nodes cannot
-      // happen in practice. The protected-set guard remains as a
-      // correctness backstop for degenerate cache sizes.
-      std::unordered_set<NodeId> protected_now;
-      std::vector<HeapEntry> deferred;
-      for (std::size_t k = 0; k < sb_count; ++k) {
-        const auto now = static_cast<std::uint32_t>(k);
-        protected_now.clear();
-        protected_now.insert(node_lists[k].begin(), node_lists[k].end());
-        for (NodeId v : node_lists[k]) {
-          if (sim_map.count(v) != 0) continue;  // hit: keyed after batch
-          // Miss: evict the cached node with the farthest next use,
-          // skipping stale heap entries and current-batch nodes.
-          std::uint32_t slot;
-          if (!free_slots.empty()) {
-            slot = free_slots.back();
-            free_slots.pop_back();
-          } else {
-            NodeId victim = 0;
-            deferred.clear();
-            for (;;) {
-              GD_CHECK_MSG(!heap.empty(), "belady heap exhausted");
-              auto [key, cand] = heap.top();
-              heap.pop();
-              auto hit = heap_key.find(cand);
-              if (hit == heap_key.end() || hit->second != key) continue;
-              if (sim_map.count(cand) == 0) continue;
-              if (protected_now.count(cand) != 0) {
-                deferred.push_back({key, cand});
-                continue;
-              }
-              victim = cand;
-              break;
-            }
-            for (const auto& entry : deferred) heap.push(entry);
-            slot = sim_map[victim];
-            sim_map.erase(victim);
-            heap_key.erase(victim);
-            plan.evictions[k].push_back(victim);
-          }
-          sim_map.emplace(v, slot);
-          plan.loads[k].emplace_back(v, slot);
-        }
-        // Refresh keys for every batch member (hits and fresh loads).
-        for (NodeId v : node_lists[k]) {
-          const std::uint32_t nu = next_use_after(v, now);
-          heap.push({nu, v});
-          heap_key[v] = nu;
-        }
+      plan = plan_belady(node_lists, cache_rows_);
+      // The plan starts cold, so its first cache_rows_ loads are the ones
+      // into free slots, before any eviction: the warm start Ginex loads
+      // synchronously at superbatch start.
+      for (BeladyStep& step : plan) {
+        const auto n = static_cast<std::ptrdiff_t>(std::min<std::uint64_t>(
+            step.loads.size(), cache_rows_ - initial_fill.size()));
+        initial_fill.insert(initial_fill.end(), step.loads.begin(),
+                            step.loads.begin() + n);
+        step.loads.erase(step.loads.begin(), step.loads.begin() + n);
       }
       stats.extract_seconds += to_seconds(Clock::now() - t0);
       GD_LOG_INFO("ginex inspect: %.3fs (readback %.3fs, %zu initial fill)",
                   to_seconds(Clock::now() - t0),
-                  to_seconds(t_belady - t0), plan.initial_fill.size());
+                  to_seconds(t_belady - t0), initial_fill.size());
     }
 
     // ---- Phase 3: synchronous feature-cache initialization.
@@ -352,11 +227,9 @@ EpochStats Ginex::run_epoch(std::uint64_t epoch) {
       const TimePoint t0 = Clock::now();
       cache_map.clear();
       load_rows_into_cache(*ctx_.ssd, ctx_.telemetry, ds.layout(),
-                           plan.initial_fill, /*depth=*/64, dim,
+                           initial_fill, /*depth=*/64, dim,
                            cache_storage_.data());
-      for (const auto& [node, slot] : plan.initial_fill) {
-        cache_map[node] = slot;
-      }
+      for (const auto& [node, slot] : initial_fill) cache_map[node] = slot;
       stats.extract_seconds += to_seconds(Clock::now() - t0);
       GD_LOG_INFO("ginex cache init: %.3fs", to_seconds(Clock::now() - t0));
     }
@@ -366,17 +239,18 @@ EpochStats Ginex::run_epoch(std::uint64_t epoch) {
       // Read the stored sampling result back from SSD.
       TimePoint t0 = Clock::now();
       std::vector<std::uint8_t> ser(spill_len[k]);
-      bulk_io(*ctx_.ssd, ctx_.telemetry, /*write=*/false, spill_offset[k],
-              ser.data(), spill_len[k], /*depth=*/16);
+      stream_range(*ctx_.ssd, ctx_.telemetry, /*write=*/false,
+                   spill_offset[k], ser.data(), spill_len[k], kSpillChunk,
+                   /*depth=*/16);
       SampledBatch batch = deserialize_batch(ser.data());
 
       // Apply the Belady plan: evictions then miss loads (synchronous,
       // multi-threaded-read-equivalent depth).
-      for (NodeId v : plan.evictions[k]) cache_map.erase(v);
+      for (NodeId v : plan[k].evictions) cache_map.erase(v);
       load_rows_into_cache(*ctx_.ssd, ctx_.telemetry, ds.layout(),
-                           plan.loads[k], config_.miss_ring_depth, dim,
+                           plan[k].loads, config_.miss_ring_depth, dim,
                            cache_storage_.data());
-      for (const auto& [node, slot] : plan.loads[k]) cache_map[node] = slot;
+      for (const auto& [node, slot] : plan[k].loads) cache_map[node] = slot;
 
       // Gather the batch tensor from the feature cache.
       Tensor x0(static_cast<std::uint32_t>(batch.num_nodes()), dim);

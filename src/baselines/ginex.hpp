@@ -10,7 +10,8 @@
 // superbatch:
 //  1. sample every mini-batch up front and STORE the sampling results on the
 //     SSD (extra write I/O, longer sampling);
-//  2. inspect: read the results back, compute the Belady plan (CPU + I/O);
+//  2. inspect: read the results back, compute the Belady plan (CPU + I/O)
+//     with plan_belady (src/cache/belady.hpp);
 //  3. synchronously initialize the feature cache for this superbatch;
 //  4. train: per mini-batch, read the stored sample back, serve hits from
 //     the feature cache, load misses synchronously, transfer, train.
@@ -49,8 +50,6 @@ class Ginex final : public TrainSystem {
   const CachedTopology& neighbor_cache() const { return *neighbor_cache_; }
 
  private:
-  struct Plan;  // Belady replacement plan for one superbatch
-
   RunContext ctx_;
   GinexConfig config_;
   NeighborSampler sampler_;

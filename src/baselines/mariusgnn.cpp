@@ -145,34 +145,9 @@ void MariusGnn::load_partition(std::uint32_t part, std::uint32_t buffer_slot) {
   float* dst = buffer_.data() + static_cast<std::size_t>(buffer_slot) *
                                     part_rows_ * ds.spec().feature_dim;
   constexpr std::uint32_t kChunk = 1 << 20;
-  // Sector-aligned body straight into the buffer slot; the unaligned tail
-  // (possible with sub-sector feature rows) bounces through a scratch sector.
-  const std::uint64_t body = round_down(len, kSectorSize);
-  std::uint64_t done = 0;
-  IoRingConfig rc;
-  rc.queue_depth = 8;
-  rc.direct = true;
-  IoRing ring(*ctx_.ssd, rc, nullptr, ctx_.telemetry);
-  std::uint64_t submitted = 0;
-  while (done < body) {
-    while (submitted < body && ring.in_flight() < 8) {
-      const auto n = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(kChunk, body - submitted));
-      ring.prep_read(off + submitted, n,
-                     reinterpret_cast<std::uint8_t*>(dst) + submitted, n);
-      ring.submit();
-      submitted += n;
-    }
-    const Cqe cqe = ring.wait_cqe();
-    GD_CHECK(cqe.res >= 0);
-    done += cqe.user_data;
-  }
-  if (body < len) {
-    alignas(64) std::uint8_t tail[2 * kSectorSize];
-    ctx_.ssd->read_sync(off + body, kSectorSize, tail);
-    std::memcpy(reinterpret_cast<std::uint8_t*>(dst) + body, tail,
-                len - body);
-  }
+  stream_range(*ctx_.ssd, ctx_.telemetry, /*write=*/false, off,
+               reinterpret_cast<std::uint8_t*>(dst), len, kChunk,
+               /*depth=*/8);
   // Edge buckets ride along (charged as extra sequential bytes).
   std::vector<std::uint8_t> scratch(8 * kChunk);
   chunked_io(*ctx_.ssd, ctx_.telemetry, /*write=*/false,

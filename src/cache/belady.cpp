@@ -4,6 +4,8 @@
 #include <limits>
 #include <list>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -30,7 +32,7 @@ std::vector<NodeId> unique_nodes(const std::vector<NodeId>& nodes) {
 }
 
 /// LRU core shared by simulate_lru and the cold region of simulate_hotness.
-/// `skip` (optional) marks always-resident nodes that bypass the cache.
+/// `hot` (optional) marks always-resident nodes that bypass the cache.
 CacheSimResult run_lru(const AccessTrace& trace, std::uint64_t slots,
                        const std::unordered_set<NodeId>* hot,
                        CacheSimResult seed) {
@@ -125,44 +127,79 @@ CacheSimResult simulate_hotness(const AccessTrace& trace, std::uint64_t slots,
   return run_lru(trace, slots - hot_set.size(), &hot_set, CacheSimResult{});
 }
 
-CacheSimResult simulate_belady(const AccessTrace& trace, std::uint64_t slots) {
-  // Flatten to one access stream (per-batch deduplicated, like triage).
-  std::vector<NodeId> stream;
+std::vector<BeladyStep> plan_belady(const AccessTrace& trace,
+                                    std::uint64_t slots) {
+  std::vector<std::vector<NodeId>> batches;
+  batches.reserve(trace.size());
   for (const auto& raw : trace) {
-    for (NodeId v : unique_nodes(raw)) stream.push_back(v);
-  }
-  const std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-
-  // next_use[i]: index of the next access of stream[i] after i.
-  std::vector<std::uint64_t> next_use(stream.size(), kNever);
-  std::unordered_map<NodeId, std::uint64_t> upcoming;
-  for (std::uint64_t i = stream.size(); i-- > 0;) {
-    const auto it = upcoming.find(stream[i]);
-    if (it != upcoming.end()) next_use[i] = it->second;
-    upcoming[stream[i]] = i;
-  }
-
-  CacheSimResult result;
-  // Resident set ordered by next use; ties impossible (distinct positions;
-  // kNever ties broken by node id).
-  std::set<std::pair<std::uint64_t, NodeId>> by_next_use;
-  std::unordered_map<NodeId, std::uint64_t> resident_next;  // node -> key
-  for (std::uint64_t i = 0; i < stream.size(); ++i) {
-    const NodeId v = stream[i];
-    ++result.lookups;
-    const auto it = resident_next.find(v);
-    if (it != resident_next.end()) {
-      ++result.hits;
-      by_next_use.erase({it->second, v});
-    } else if (resident_next.size() >= slots) {
-      // Evict the resident node used farthest in the future (or never).
-      const auto victim = std::prev(by_next_use.end());
-      resident_next.erase(victim->second);
-      by_next_use.erase(victim);
+    batches.push_back(unique_nodes(raw));
+    if (batches.back().size() > slots) {
+      throw std::invalid_argument(
+          "plan_belady: " + std::to_string(slots) +
+          " slots cannot hold batch " + std::to_string(batches.size() - 1) +
+          " (" + std::to_string(batches.back().size()) + " distinct nodes)");
     }
-    const std::uint64_t key = next_use[i] == kNever ? kNever - v : next_use[i];
-    resident_next[v] = key;
-    by_next_use.insert({key, v});
+  }
+
+  // next_use[k][i]: the next batch after k that uses batches[k][i].
+  constexpr std::uint32_t kNever = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::vector<std::uint32_t>> next_use(batches.size());
+  std::unordered_map<NodeId, std::uint32_t> upcoming;
+  for (std::size_t k = batches.size(); k-- > 0;) {
+    next_use[k].reserve(batches[k].size());
+    for (NodeId v : batches[k]) {
+      const auto [it, first] =
+          upcoming.try_emplace(v, static_cast<std::uint32_t>(k));
+      next_use[k].push_back(first ? kNever : it->second);
+      it->second = static_cast<std::uint32_t>(k);
+    }
+  }
+
+  std::unordered_map<NodeId, std::uint32_t> slot_of;  // the resident set
+  // Resident nodes outside the current batch by (next use, node); the
+  // victim is the largest. A resident member of batch k is keyed (k, node),
+  // so it leaves the set when the batch reaches it and, until then, ranks
+  // below every non-member: slots >= |batch| leaves a non-member to evict
+  // whenever the cache is full and a miss needs a slot.
+  std::set<std::pair<std::uint32_t, NodeId>> evictable;
+  std::uint64_t next_free = 0;
+  std::vector<BeladyStep> plan(batches.size());
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    const auto now = static_cast<std::uint32_t>(k);
+    BeladyStep& step = plan[k];
+    for (NodeId v : batches[k]) {
+      if (slot_of.count(v) != 0) {
+        evictable.erase({now, v});  // hit: pinned for the batch
+        continue;
+      }
+      std::uint32_t slot;
+      if (next_free < slots) {
+        slot = static_cast<std::uint32_t>(next_free++);
+      } else {
+        const auto victim = std::prev(evictable.end());
+        const auto it = slot_of.find(victim->second);
+        slot = it->second;
+        step.evictions.push_back(victim->second);
+        slot_of.erase(it);
+        evictable.erase(victim);
+      }
+      slot_of.emplace(v, slot);
+      step.loads.emplace_back(v, slot);
+    }
+    // The batch is done: its members become evictable at their next use.
+    for (std::size_t i = 0; i < batches[k].size(); ++i) {
+      evictable.insert({next_use[k][i], batches[k][i]});
+    }
+  }
+  return plan;
+}
+
+CacheSimResult simulate_belady(const AccessTrace& trace, std::uint64_t slots) {
+  CacheSimResult result;
+  for (const auto& raw : trace) result.lookups += unique_nodes(raw).size();
+  result.hits = result.lookups;
+  for (const BeladyStep& step : plan_belady(trace, slots)) {
+    result.hits -= step.loads.size();
   }
   return result;
 }

@@ -1,22 +1,27 @@
-// Belady (MIN) oracle comparator for the feature-cache A/B bench.
+// Belady replacement for a batch-pinned feature cache, and the trace-driven
+// cache comparator built on it.
 //
-// Replays a recorded epoch-0 access trace through three cache simulators:
+// plan_belady is the one Belady implementation: Ginex's inspect pass
+// (src/baselines/ginex.cpp) runs it over each superbatch, and
+// bench/cache_policy replays a recorded epoch-0 access trace through three
+// cache simulators:
 //
 //   * simulate_lru      — mirrors the FeatureBuffer's standby discipline
 //                         (nodes of the in-flight batch are referenced and
 //                         unevictable; retired slots rejoin at the MRU end),
 //   * simulate_hotness  — a pinned always-resident hot set over an LRU cold
 //                         remainder of (slots - |hot|),
-//   * simulate_belady   — Belady's optimal replacement: evict the resident
-//                         node whose next use lies farthest in the future.
+//   * simulate_belady   — the hits of plan_belady's plan.
 //
-// The oracle knows the whole future and ignores the batch-pinning
-// constraint real extraction must honour, so its hit rate is a (slightly
-// optimistic) upper bound no realizable policy can beat — exactly the
-// comparator role it plays in bench/cache_policy.
+// The plan starts cold, loads only on a miss and keeps each batch resident
+// until the batch is done, like the real buffer. Within those rules it is
+// optimal: no cold-start, batch-pinned policy (LRU among them) hits more.
+// It is not a bound on simulate_hotness, whose hot set is prefetched for
+// free: once the hot set nearly covers the working set, hotness can beat it.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/dataset.hpp"
@@ -58,7 +63,24 @@ CacheSimResult simulate_lru(const AccessTrace& trace, std::uint64_t slots);
 CacheSimResult simulate_hotness(const AccessTrace& trace, std::uint64_t slots,
                                 const std::vector<NodeId>& hot);
 
-/// Belady's MIN over the flattened access stream.
+/// One batch's step of a Belady plan: evict `evictions`, then read each
+/// (node, slot) of `loads` into its slot.
+struct BeladyStep {
+  std::vector<NodeId> evictions;
+  std::vector<std::pair<NodeId, std::uint32_t>> loads;
+};
+
+/// Plans a cold-start cache of `slots` rows over `trace`: a miss takes the
+/// next free slot, or else the slot of the resident node whose next batch of
+/// use is farthest away (never used again counts as farthest), never a
+/// member of the current batch; ties go to the larger node id. Until the
+/// cache is full no eviction happens, so the first min(slots, distinct
+/// nodes) loads are exactly those into free slots. Throws
+/// std::invalid_argument when `slots` is smaller than a deduplicated batch.
+std::vector<BeladyStep> plan_belady(const AccessTrace& trace,
+                                    std::uint64_t slots);
+
+/// Hits of plan_belady: lookups minus the plan's loads.
 CacheSimResult simulate_belady(const AccessTrace& trace, std::uint64_t slots);
 
 }  // namespace gnndrive

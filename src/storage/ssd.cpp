@@ -237,11 +237,12 @@ void SsdDevice::submit_batch(std::span<Request> requests) {
         // Never scheduled for completion; occupies no channel (the modeled
         // firmware lost it). Cancellation is the only way out.
         req.done_at = stuck_deadline();
+        r.start = now;
       } else {
         // Pick the channel that frees up earliest (c-server queue).
         auto it = std::min_element(channel_free_.begin(), channel_free_.end());
-        const TimePoint start = std::max(now, *it);
-        req.done_at = start + service;
+        r.start = std::max(now, *it);
+        req.done_at = r.start + service;
         *it = req.done_at;
         add_busy_locked(service);
       }

@@ -181,6 +181,10 @@ class SsdDevice : NonCopyable {
     void* buf = nullptr;
     Completion on_complete;
     std::uint64_t token = 0;  ///< set by submit_batch (for try_cancel)
+    /// Set by submit_batch: when the request's channel begins serving it,
+    /// after the requests queued ahead of it; submission time for a stuck
+    /// request, which never occupies a channel.
+    TimePoint start{};
   };
 
   /// Submits every request under one device-lock acquisition and wakes the
@@ -188,7 +192,8 @@ class SsdDevice : NonCopyable {
   /// deadline it sleeps until, or when it is idle. Each request's
   /// `on_complete` runs on the device thread after its modeled service time
   /// elapsed and its data moved; it must be cheap and must not call back
-  /// into the device. Consumes the callbacks and fills each `token`.
+  /// into the device. Consumes the callbacks and fills each `token` and
+  /// `start`.
   void submit_batch(std::span<Request> requests);
 
   /// submit_batch() of one request; returns its try_cancel() token.

@@ -292,6 +292,37 @@ TEST_F(RingFixture, CancelExpiredLeavesFreshRequestsAlone) {
   EXPECT_EQ(ring.wait_cqe().res, 512);
 }
 
+TEST_F(RingFixture, WatchdogIgnoresABacklogOfHealthyReads) {
+  // One channel at 2 ms per read: 32 reads queue for ~64 ms, far past the
+  // 20 ms timeout, yet no single read is in service for more than 2 ms. A
+  // deep queue is not a stuck device, so the watchdog cancels nothing.
+  SsdConfig cfg;
+  cfg.read_latency_us = 2000.0;
+  cfg.channels = 1;
+  SsdDevice one_channel(cfg, image);
+  constexpr unsigned kReads = 32;
+  IoRing ring(one_channel, {.queue_depth = kReads, .direct = true});
+  std::vector<std::uint8_t> bufs(kReads * 512);
+  for (unsigned i = 0; i < kReads; ++i) {
+    ASSERT_TRUE(ring.prep_read(i * 512, 512, bufs.data() + i * 512, i));
+  }
+  ASSERT_EQ(ring.submit(), kReads);
+  const Duration req_timeout = from_us(20000.0);
+  unsigned cancelled = 0;
+  for (unsigned reaped = 0; reaped < kReads;) {
+    const std::optional<Cqe> cqe = ring.wait_cqe_for(from_us(500.0));
+    if (!cqe) {
+      cancelled += ring.cancel_expired(req_timeout);
+      continue;
+    }
+    EXPECT_EQ(cqe->res, 512) << "read " << cqe->user_data;
+    ++reaped;
+  }
+  EXPECT_EQ(cancelled, 0u);
+  EXPECT_EQ(one_channel.stats().cancelled, 0u);
+  EXPECT_EQ(std::memcmp(bufs.data(), image->raw(), bufs.size()), 0);
+}
+
 TEST_F(RingFixture, WriteRoundTrip) {
   IoRing ring(*ssd, {.queue_depth = 8, .direct = true});
   std::vector<std::uint8_t> data(1024);

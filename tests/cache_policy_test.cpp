@@ -1,14 +1,17 @@
-// Hotness-aware feature caching (src/cache, ISSUE 7): construction-time
+// Hotness-aware feature caching (src/cache): construction-time
 // validation, pinned hot-partition semantics, pre-sampling determinism, the
-// Belady oracle comparator, the cold_slots >= Ne x Mb deadlock invariant
+// Belady planner and comparator, the cold_slots >= Ne x Mb deadlock invariant
 // (train-only and train+serve) and the byte-identical-training differential
 // against the LRU baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "cache/policy.hpp"
 #include "core/pipeline.hpp"
 #include "serve/engine.hpp"
+#include "util/rng.hpp"
 
 namespace gnndrive {
 namespace {
@@ -388,6 +392,120 @@ TEST_F(CachePolicyFixture, HotnessSimulatorBeatsLruOnSkewedTraffic) {
   const CacheSimResult opt = simulate_belady(trace, slots);
   EXPECT_GT(hot.hits, lru.hits);   // community graphs skew hard enough
   EXPECT_GE(opt.hits, hot.hits);   // the oracle stays an upper bound
+}
+
+// -- The Belady planner -----------------------------------------------------
+
+TEST_F(CachePolicyFixture, BeladyPlanKeepsEveryBatchResidentWithinSlots) {
+  auto env = make_env();
+  SamplerConfig scfg;
+  scfg.fanouts = {5, 5};
+  const AccessTrace trace = record_access_trace(*dataset, *env.cache, scfg,
+                                                16, 99, 0, 16);
+  std::uint64_t max_batch = 0;
+  for (const auto& b : trace) {
+    const std::unordered_set<NodeId> uniq(b.begin(), b.end());
+    max_batch = std::max<std::uint64_t>(max_batch, uniq.size());
+  }
+  EXPECT_THROW(plan_belady(trace, max_batch - 1), std::invalid_argument);
+
+  for (const std::uint64_t slots : {max_batch, max_batch + 8, max_batch * 2}) {
+    const std::vector<BeladyStep> plan = plan_belady(trace, slots);
+    ASSERT_EQ(plan.size(), trace.size());
+    std::unordered_map<NodeId, std::uint32_t> slot_of;  // the resident set
+    std::vector<bool> slot_used(slots, false);
+    std::uint64_t loads = 0;
+    std::uint64_t evictions = 0;
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      const std::unordered_set<NodeId> batch(trace[k].begin(),
+                                             trace[k].end());
+      for (const NodeId v : plan[k].evictions) {
+        EXPECT_EQ(batch.count(v), 0u) << "evicted batch member " << v;
+        const auto it = slot_of.find(v);
+        ASSERT_NE(it, slot_of.end()) << "evicted non-resident " << v;
+        slot_used[it->second] = false;
+        slot_of.erase(it);
+        ++evictions;
+      }
+      for (const auto& [v, slot] : plan[k].loads) {
+        ASSERT_LT(slot, slots);
+        EXPECT_FALSE(slot_used[slot]) << "slot " << slot << " reassigned";
+        EXPECT_TRUE(slot_of.emplace(v, slot).second) << "reloaded " << v;
+        slot_used[slot] = true;
+        ++loads;
+      }
+      EXPECT_LE(slot_of.size(), slots);
+      // Nothing is evicted while a slot is free: the first `slots` loads
+      // fill the empty cache (Ginex's warm start relies on it).
+      EXPECT_EQ(evictions, std::max(loads, slots) - slots) << "batch " << k;
+      for (const NodeId v : batch) {
+        EXPECT_EQ(slot_of.count(v), 1u) << "batch " << k << " lacks " << v;
+      }
+    }
+    const CacheSimResult sim = simulate_belady(trace, slots);
+    EXPECT_EQ(sim.lookups - sim.hits, loads);
+  }
+}
+
+/// Fewest misses any cold-start, batch-pinned, load-on-miss cache of
+/// `slots` rows can take on `trace` (batch k as a bitmask over nodes < 8)
+/// from batch `k` on with `resident` cached: exhaustive search over every
+/// choice of victims at every batch, memoized on (k, resident).
+std::uint64_t min_misses(const std::vector<std::uint32_t>& trace,
+                         std::uint64_t slots, std::size_t k,
+                         std::uint32_t resident,
+                         std::vector<std::uint64_t>& memo) {
+  constexpr std::uint64_t kUnknown = std::numeric_limits<std::uint64_t>::max();
+  if (k == trace.size()) return 0;
+  std::uint64_t& best = memo[k * 256 + resident];
+  if (best != kUnknown) return best;
+  const std::uint32_t batch = trace[k];
+  const std::uint32_t filled = resident | batch;
+  const int excess =
+      std::max(std::popcount(filled) - static_cast<int>(slots), 0);
+  const std::uint32_t evictable = resident & ~batch;
+  // Every subset of the evictable nodes with exactly `excess` members.
+  for (std::uint32_t e = evictable;; e = (e - 1) & evictable) {
+    if (std::popcount(e) == excess) {
+      best = std::min(best, min_misses(trace, slots, k + 1, filled & ~e, memo));
+    }
+    if (e == 0) break;
+  }
+  best += static_cast<std::uint64_t>(std::popcount(batch & ~resident));
+  return best;
+}
+
+TEST_F(CachePolicyFixture, BeladyMatchesExhaustiveOptimumOnTinyTraces) {
+  Rng rng(2024);
+  for (int t = 0; t < 2000; ++t) {
+    const auto nodes = static_cast<std::uint32_t>(1 + rng.next_below(8));
+    const std::size_t batches = 1 + rng.next_below(7);
+    std::vector<std::uint32_t> masks;  // batch k as a node bitmask
+    AccessTrace trace;
+    std::uint64_t max_batch = 1;
+    for (std::size_t k = 0; k < batches; ++k) {
+      std::uint32_t mask = 0;
+      while (mask == 0) {
+        mask = static_cast<std::uint32_t>(rng.next_below(1u << nodes));
+      }
+      std::vector<NodeId> batch;
+      for (NodeId v = 0; v < nodes; ++v) {
+        if ((mask >> v) & 1u) batch.push_back(v);
+      }
+      std::shuffle(batch.begin(), batch.end(), rng);
+      max_batch = std::max<std::uint64_t>(max_batch, batch.size());
+      masks.push_back(mask);
+      trace.push_back(std::move(batch));
+    }
+    const std::uint64_t slots =
+        max_batch + rng.next_below(nodes - max_batch + 1);
+    const CacheSimResult opt = simulate_belady(trace, slots);
+    std::vector<std::uint64_t> memo(masks.size() * 256,
+                                    std::numeric_limits<std::uint64_t>::max());
+    ASSERT_EQ(opt.lookups - opt.hits, min_misses(masks, slots, 0, 0, memo))
+        << "trace " << t << ": " << nodes << " nodes, " << batches
+        << " batches, " << slots << " slots";
+  }
 }
 
 // -- Differential: hotness training == LRU training, byte for byte ----------

@@ -921,9 +921,7 @@ TEST_F(ObsPlaneFixture, CongestedConfigIsAttributedToTheSsd) {
   // SSD queue saturates while the (tiny) trainer idles. The trainer's time
   // is host math, which a sanitizer build slows many times over, while the
   // SSD's is modeled; so the device is slowed 4x and the model kept minimal
-  // (fanouts 2, hidden 2) for the SSD to dominate at any host speed. The
-  // relaxed watchdog keeps the deep one-channel queue from reading as a
-  // stuck device.
+  // (fanouts 2, hidden 2) for the SSD to dominate at any host speed.
   SsdConfig ssd_cfg;
   ssd_cfg.read_latency_us = 400.0;
   ssd_cfg.bandwidth_mb_s = 100.0;
@@ -933,7 +931,6 @@ TEST_F(ObsPlaneFixture, CongestedConfigIsAttributedToTheSsd) {
   GnnDriveConfig cfg = base_config();
   cfg.common.model.hidden_dim = 2;
   cfg.common.sampler.fanouts = {2, 2, 2};
-  cfg.fault.request_timeout_ms = 60000.0;
   // Epoch 0 runs against a cold feature buffer, so every feature comes off
   // the device (a warm epoch on the toy graph does no I/O at all).
   GnnDrive system(env.ctx, cfg);
@@ -973,7 +970,6 @@ TEST_F(ObsPlaneFixture, MemoryTightBufferedConfigIsAttributedToThePageCache) {
   cfg.feature_buffer_scale = 0.1;  // little cross-batch reuse in the fb
   cfg.common.model.hidden_dim = 2;
   cfg.common.sampler.fanouts = {2, 2, 2};
-  cfg.fault.request_timeout_ms = 60000.0;
   GnnDrive system(env.ctx, cfg);
   system.run_epoch(0);
 
